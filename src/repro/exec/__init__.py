@@ -2,15 +2,15 @@
 
 Two layers sit between the Fast front end and the STTR interpreter:
 
-* :mod:`repro.exec.compiled` — closure lowering.  An
-  :class:`~repro.transducers.sttr.STTR` is compiled once into a
-  :class:`~repro.exec.compiled.CompiledSTTR`: per-(state, symbol)
-  dispatch tables indexed by minterm id (the sign vector of the
-  symbol's distinct guards), so each node evaluates every distinct
-  guard at most once, and rule bodies lowered to pre-resolved
-  output-assembly closures.  ``Transducer.apply`` routes through the
-  compiled form; the interpreter in :mod:`repro.transducers.run` stays
-  the reference oracle (property-tested equivalent).
+* :mod:`repro.exec.compiled` — code generation.  An
+  :class:`~repro.transducers.sttr.STTR` is turned once into Python
+  source and compiled: one guard classifier per input constructor, a
+  lookahead memo filled in a single post-order pass, integer states
+  with flat per-node result slots, and one emitter per rule.
+  ``Transducer.apply`` runs the generated form; the interpreter in
+  :mod:`repro.transducers.run` stays the reference oracle
+  (property-tested equivalent) and runs what the generator cannot
+  lower.
 
 * :mod:`repro.exec.cache` — the persistent artifact cache.  A whole
   compiled program environment (:mod:`repro.exec.artifact`) is stored
@@ -18,8 +18,7 @@ Two layers sit between the Fast front end and the STTR interpreter:
   in-process LRU with an on-disk JSON layer behind it, so two
   consecutive jobs for the same program never parse twice.
 
-Both layers are observable (``exec.*`` metrics, DESIGN.md §8) and
-optional: ``REPRO_EXEC=interp`` forces the interpreter,
+Both layers are observable (``exec.*`` metrics, DESIGN.md §8);
 ``REPRO_CACHE=off`` disables the artifact cache (see
 :mod:`repro.exec.config`).
 """

@@ -1,11 +1,8 @@
-"""Environment knobs for the compiled execution tier.
+"""Environment knobs for the artifact cache.
 
-All knobs are read at *call* time, not import time, so tests (and the
+Both knobs are read at *call* time, not import time, so tests (and the
 benchmark harness) can flip them per scenario without reimporting:
 
-* ``REPRO_EXEC`` — ``compiled`` (default) routes ``Transducer.apply``
-  through the closure-lowered form; ``interp`` forces the reference
-  interpreter.
 * ``REPRO_CACHE`` — ``off`` / ``0`` / ``no`` disables the artifact
   cache entirely (every request parses and compiles from source).
 * ``REPRO_CACHE_DIR`` — on-disk cache location; defaults to
@@ -17,11 +14,6 @@ from __future__ import annotations
 import os
 
 _OFF = ("off", "0", "no", "false")
-
-
-def compiled_enabled() -> bool:
-    """Route transducer execution through the compiled tier?"""
-    return os.environ.get("REPRO_EXEC", "compiled").lower() != "interp"
 
 
 def cache_enabled() -> bool:

@@ -21,7 +21,7 @@ from .compose import compose as _compose
 from .domain import domain as _domain
 from .preimage import preimage as _preimage
 from .restrict import restrict_input, restrict_output
-from .run import OutputTruncated, run_checked as _run_checked, run_one as _run_one
+from .run import OutputTruncated, TransductionError, run_checked as _run_checked
 from .sttr import STTR
 from .typecheck import type_check as _type_check
 
@@ -48,19 +48,21 @@ class Transducer:
     # -- execution -----------------------------------------------------------
 
     def _compiled(self):
-        """The closure-lowered form, built once per transducer.
+        """The generated-code form, built once per transducer on first use.
 
-        Lowering failures are remembered as None (fall back to the
-        interpreter forever) — the compiled tier is an optimization,
-        never a new way to fail.  The slot lives in ``__dict__`` so the
-        frozen dataclass stays frozen for its declared fields.
+        An STTR the code generator cannot lower (it raises
+        :class:`~repro.transducers.run.TransductionError`) is remembered
+        as None and runs on the reference interpreter; any other error
+        is a generator bug and propagates.  The slot lives in
+        ``__dict__`` so the frozen dataclass stays frozen for its
+        declared fields.
         """
         if "_compiled_sttr" not in self.__dict__:
-            try:
-                from ..exec.compiled import CompiledSTTR
+            from ..exec.compiled import CompiledSTTR
 
+            try:
                 compiled = CompiledSTTR(self.sttr)
-            except Exception:
+            except TransductionError:
                 compiled = None
             object.__setattr__(self, "_compiled_sttr", compiled)
         return self.__dict__["_compiled_sttr"]
@@ -68,16 +70,13 @@ class Transducer:
     def _checked(
         self, tree: Tree, limit: Optional[int]
     ) -> tuple[list[Tree], bool]:
-        """``run_checked`` via the compiled tier when enabled."""
-        from ..exec import config as exec_config
+        """``run_checked`` via generated code, else the interpreter."""
+        compiled = self._compiled()
+        if compiled is None:
+            return _run_checked(self.sttr, tree, limit=limit)
+        from ..exec.compiled import run_compiled_checked
 
-        if exec_config.compiled_enabled():
-            compiled = self._compiled()
-            if compiled is not None:
-                from ..exec.compiled import run_compiled_checked
-
-                return run_compiled_checked(compiled, tree, limit=limit)
-        return _run_checked(self.sttr, tree, limit=limit)
+        return run_compiled_checked(compiled, tree, limit=limit)
 
     def apply(
         self,
@@ -109,17 +108,14 @@ class Transducer:
         return outputs
 
     def apply_one(self, tree: Tree) -> Optional[Tree]:
-        """One output, or None when ``tree`` is outside the domain."""
-        from ..exec import config as exec_config
+        """One output, or None when ``tree`` is outside the domain.
 
-        if exec_config.compiled_enabled():
-            compiled = self._compiled()
-            if compiled is not None:
-                from ..exec.compiled import run_compiled_checked
-
-                outputs, _ = run_compiled_checked(compiled, tree, limit=1)
-                return outputs[0] if outputs else None
-        return _run_one(self.sttr, tree)
+        Complete for the same reason as
+        :func:`~repro.transducers.run.run_one`: keeping one output per
+        task preserves non-emptiness bottom-up.
+        """
+        outputs, _ = self._checked(tree, 1)
+        return outputs[0] if outputs else None
 
     def __call__(self, tree: Tree) -> Optional[Tree]:
         return self.apply_one(tree)

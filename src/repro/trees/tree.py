@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 from ..smt.terms import Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Tree:
     """An attributed ranked tree ``ctor[attrs](children)``."""
 
@@ -23,15 +23,55 @@ class Tree:
     attrs: tuple[Value, ...] = ()
     children: tuple["Tree", ...] = ()
 
-    def __post_init__(self) -> None:
-        # Cache the hash: trees key memoization tables in the automaton
-        # algorithms, and recomputing a deep hash per lookup is quadratic.
-        object.__setattr__(
-            self, "_hash", hash((self.ctor, self.attrs, self.children))
-        )
+    def __init__(
+        self, ctor: str, attrs: tuple[Value, ...] = (), children: tuple["Tree", ...] = ()
+    ) -> None:
+        # Written straight into the instance dict: transducer runs build
+        # one tree per task, and the frozen dataclass's generated
+        # ``__init__`` costs about twice as much.
+        d = self.__dict__
+        d["ctor"] = ctor
+        d["attrs"] = attrs
+        d["children"] = children
+        d["_hash"] = None
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        # Cached on first use: trees key memoization tables in the
+        # automaton algorithms, and recomputing a deep hash per lookup
+        # is quadratic.  Lazy, because most trees a run builds are never
+        # hashed at all.
+        h = self._hash  # type: ignore[attr-defined]
+        return _hash_tree(self) if h is None else h
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: never ship a cached one.
+        return {**self.__dict__, "_hash": None}
+
+    def __eq__(self, other: object) -> bool:
+        """Structural equality, iterative: lists can be thousands deep.
+
+        Identical subtrees match at once and a cached-hash mismatch
+        rejects at once; only equal-hash, non-identical pairs are
+        walked.
+        """
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (
+                hash(a) != hash(b)
+                or a.ctor != b.ctor
+                or a.attrs != b.attrs
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
     def __repr__(self) -> str:
         return format_tree(self)
@@ -73,6 +113,24 @@ class Tree:
 
     def replace_children(self, children: Sequence["Tree"]) -> "Tree":
         return Tree(self.ctor, self.attrs, tuple(children))
+
+
+def _hash_tree(tree: Tree) -> int:
+    """Compute and cache the hashes ``tree`` needs, children first.
+
+    Iterative, so hashing a list thousands of nodes deep does not
+    recurse through ``__hash__``.
+    """
+    stack = [tree]
+    while stack:
+        t = stack[-1]
+        pending = [c for c in t.children if c._hash is None]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        t.__dict__["_hash"] = hash((t.ctor, t.attrs, t.children))
+    return tree._hash  # type: ignore[attr-defined]
 
 
 def dag_post_order(tree: Tree) -> list[Tree]:
@@ -118,9 +176,25 @@ def _format_attr(value: Value) -> str:
 
 
 def format_tree(tree: Tree) -> str:
-    """Render in the paper's surface syntax: ``f["a"](c1, c2)``."""
-    attrs = " ".join(_format_attr(a) for a in tree.attrs)
-    head = tree.ctor + (f"[{attrs}]" if attrs else "[]" if tree.attrs else "")
-    if not tree.children:
-        return head
-    return head + "(" + ", ".join(format_tree(c) for c in tree.children) + ")"
+    """Render in the paper's surface syntax: ``f["a"](c1, c2)``.
+
+    Iterative, so a list thousands of nodes deep renders without
+    recursion.
+    """
+    parts: list[str] = []
+    stack: list = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        attrs = " ".join(_format_attr(a) for a in item.attrs)
+        parts.append(item.ctor + (f"[{attrs}]" if attrs else "[]" if item.attrs else ""))
+        if item.children:
+            parts.append("(")
+            stack.append(")")
+            for k, child in enumerate(reversed(item.children)):
+                if k:
+                    stack.append(", ")
+                stack.append(child)
+    return "".join(parts)

@@ -7,14 +7,17 @@ charges through :func:`repro.exec.compiled.run_compiled_checked` as
 through :func:`repro.transducers.run.run_checked`.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import STA, rule
 from repro.exec.compiled import CompiledSTTR, run_compiled_checked
 from repro.guard import Budget, scope
-from repro.smt import INT, Solver, mk_add, mk_eq, mk_gt, mk_int, mk_var
+from repro.smt import INT, mk_add, mk_eq, mk_gt, mk_int, mk_mod, mk_mul, mk_not, mk_var
 from repro.transducers import OutApply, OutNode, STTR, Transducer, run_checked, trule
+from repro.transducers.output_terms import TApp
+from repro.transducers.run import TransductionError
 from repro.trees import make_tree_type, node
 
 ET = make_tree_type("ET", [("x", INT)], {"L": 0, "U": 1, "B": 2})
@@ -133,51 +136,7 @@ def test_compiled_matches_interpreter(sttr, tree, limit):
     assert compiled_budget.steps == interp_budget.steps
 
 
-@given(sttr=sttrs(), tree=trees)
-@settings(max_examples=25, deadline=None)
-def test_precomputed_table_matches_lazy(sttr, tree):
-    lazy = CompiledSTTR(sttr)
-    eager = CompiledSTTR(sttr)
-    eager.precompute(Solver())
-    assert run_compiled_checked(eager, tree) == run_compiled_checked(lazy, tree)
-
-
-def test_precompute_fills_table():
-    sttr = STTR(
-        "pc",
-        ET,
-        ET,
-        "p",
-        (
-            trule(
-                "p",
-                "L",
-                OutNode("L", (x,), ()),
-                guard=mk_gt(x, mk_int(0)),
-                rank=0,
-            ),
-            trule("p", "L", OutNode("L", (mk_add(x, mk_int(1)),), ()), rank=0),
-            trule(
-                "p",
-                "U",
-                OutNode("U", (x,), (OutApply("p", 0),)),
-                rank=1,
-            ),
-        ),
-    )
-    compiled = CompiledSTTR(sttr)
-    assert compiled.table_size() == 0
-    filled = compiled.precompute(Solver())
-    assert filled == compiled.table_size() > 0
-    # A warm table answers without growing.
-    t = node("U", 1, node("L", 2))
-    out, truncated = run_compiled_checked(compiled, t)
-    assert not truncated
-    assert out == run_checked(sttr, t)[0]
-    assert compiled.table_size() == filled
-
-
-def test_facade_routes_through_compiled_tier(monkeypatch):
+def test_facade_routes_through_compiled_tier():
     sttr = STTR(
         "ft",
         ET,
@@ -195,9 +154,114 @@ def test_facade_routes_through_compiled_tier(monkeypatch):
     )
     t = node("B", 0, node("L", 1), node("L", 2))
     trans = Transducer(sttr)
-    monkeypatch.setenv("REPRO_EXEC", "compiled")
     compiled_out = trans.apply(t)
-    assert trans._compiled() is not None  # the lowered form was built
-    monkeypatch.setenv("REPRO_EXEC", "interp")
-    assert trans.apply(t) == compiled_out
+    assert trans._compiled() is not None  # the generated form was built
+    assert compiled_out == run_checked(sttr, t)[0]
     assert trans.apply_one(t) == compiled_out[0]
+
+
+def _with_rules(sttr, rules):
+    """``sttr`` with its rules swapped, skipping the constructor's checks."""
+    object.__setattr__(sttr, "rules", rules)
+    index = {}
+    for r in rules:
+        index.setdefault((r.state, r.ctor), []).append(r)
+    object.__setattr__(sttr, "_index", index)
+    return sttr
+
+
+def test_extended_output_term_falls_back_to_interpreter():
+    # Composition's extended terms never reach a final STTR (the
+    # constructor rejects them), so plant one behind its back: the
+    # generator must refuse it with TransductionError, and the facade
+    # must run the interpreter instead.
+    base = STTR(
+        "ext",
+        ET,
+        ET,
+        "p",
+        (trule("p", "L", OutNode("L", (x,), ()), rank=0),),
+    )
+    extended = trule(
+        "p", "U", TApp("p", OutNode("L", (x,), ())), rank=1
+    )
+    sttr = _with_rules(base, base.rules + (extended,))
+    with pytest.raises(TransductionError):
+        CompiledSTTR(sttr)
+    trans = Transducer(sttr)
+    leaf = node("L", 4)
+    assert trans.apply(leaf) == [leaf]
+    assert trans._compiled() is None
+    # The interpreter, not generated code, reaches the extended term.
+    with pytest.raises(TransductionError, match="extended term"):
+        trans.apply(node("U", 1, leaf))
+
+
+def _deep(t, p):
+    """80 rounds of ``(t * 3 + 1) mod p``: a term of depth 241."""
+    for _ in range(80):
+        t = mk_mod(mk_add(mk_mul(t, mk_int(3)), mk_int(1)), p)
+    return t
+
+
+def test_deep_guard_and_attribute_expression():
+    # ``_evaluate`` handles this depth; a 250-level parenthesised
+    # Python expression would be a SyntaxError, so the generator must
+    # not nest subterms.
+    guard = mk_gt(_deep(x, 7), mk_int(2))
+    attr = _deep(mk_add(x, mk_int(5)), 11)
+    assert _depth(guard) > 240 and _depth(attr) > 240
+    sttr = STTR(
+        "deep",
+        ET,
+        ET,
+        "p",
+        (
+            trule("p", "L", OutNode("L", (attr,), ()), guard=guard, rank=0),
+            trule("p", "L", OutNode("L", (x,), ()), guard=mk_not(guard), rank=0),
+            trule(
+                "p",
+                "U",
+                OutNode("U", (attr,), (OutApply("p", 0),)),
+                guard=guard,
+                rank=1,
+            ),
+            trule("p", "U", OutApply("p", 0), guard=mk_not(guard), rank=1),
+        ),
+    )
+    trans = Transducer(sttr)
+    for v in range(-3, 12):
+        t = node("U", v, node("U", v + 1, node("L", v + 2)))
+        assert trans.apply(t) == run_checked(sttr, t)[0]
+    assert trans._compiled() is not None
+
+
+def _depth(term):
+    memo = {}
+    stack = [(term, False)]
+    while stack:
+        t, ready = stack.pop()
+        if ready:
+            memo[t] = 1 + max((memo[c] for c in t.children), default=0)
+        elif t not in memo:
+            stack.append((t, True))
+            stack.extend((c, False) for c in t.children)
+    return memo[term]
+
+
+def test_short_attribute_tuple_matches_interpreter():
+    # A node with fewer attributes than the input type has fields is
+    # left to the interpreter's semantics: here no guard or expression
+    # reads the missing field, so both runs succeed alike.
+    sttr = STTR(
+        "short",
+        ET,
+        ET,
+        "p",
+        (
+            trule("p", "L", OutNode("L", (mk_int(7),), ()), rank=0),
+            trule("p", "U", OutApply("p", 0), rank=1),
+        ),
+    )
+    t = node("U", (), node("L", ()))
+    assert Transducer(sttr).apply(t) == run_checked(sttr, t)[0] == [node("L", 7)]

@@ -97,6 +97,29 @@ class TestTree:
         assert node("L", 1) == node("L", 1)
         assert len({node("L", 1), node("L", 1)}) == 1
 
+    def test_equality_is_structural(self):
+        assert node("N", 0, node("L", 1), node("L", 2)) != node(
+            "N", 0, node("L", 2), node("L", 1)
+        )
+        assert node("L", 1) != node("M", 1)
+        assert node("L", 1) != node("L", 1, node("L", 1))
+        assert node("L", 1) == node("L", Fraction(1))
+        assert node("L", 1) != "L[1]"
+
+    def test_deep_list_equality_and_repr(self):
+        # Equality and repr must not recurse: Fig 7's 4,097-node lists
+        # used to raise RecursionError.
+        ilist = list_tree_type("IList", INT)
+        values = list(range(10_000))
+        a = encode_list(values, ilist)
+        b = encode_list(values, ilist)
+        assert a is not b and a == b
+        c = encode_list(values[:-1] + [-1], ilist)
+        assert hash(c) != hash(a) and a != c
+        text = repr(a)
+        assert text.startswith("cons[0](cons[1](") and text.endswith("nil[0]" + ")" * 10_000)
+        assert format_tree(a) == text
+
 
 class TestFormatParse:
     def test_format(self):

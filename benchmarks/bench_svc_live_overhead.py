@@ -134,8 +134,9 @@ def _serve_live(
     line: str,
 ) -> float:
     """One request through the full live path: trace context + spans
-    (against an active journal) + window recording — the exact
-    per-request work :func:`repro.svc.serve.serve_lines` does."""
+    (against an active journal) + window recording — the per-request
+    work :meth:`repro.svc.serve.FrontEndBase.handle_line` and
+    :meth:`~repro.svc.serve.FrontEndBase._dispatch_batch` do."""
     t0 = time.perf_counter()
     request = parse_line(line, "live")
     with obs_tracer.trace_context(request.trace_id):

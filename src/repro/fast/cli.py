@@ -396,35 +396,29 @@ def _emit_outputs(args: argparse.Namespace) -> None:
               file=sys.stderr)
 
 
+def _budget_limits(args: argparse.Namespace) -> dict | None:
+    """The budget flags as ``Budget``/``BudgetSpec`` keyword arguments
+    (None if no flag given).  Flags are not ``validated()``:
+    ``--max-solver-queries 0`` is a valid zero budget here."""
+    limits = {
+        "deadline": args.timeout,
+        "max_solver_queries": args.max_solver_queries,
+        "max_steps": args.max_steps,
+    }
+    return limits if any(v is not None for v in limits.values()) else None
+
+
 def _budget(args: argparse.Namespace) -> Budget | None:
-    if (
-        args.timeout is None
-        and args.max_solver_queries is None
-        and args.max_steps is None
-    ):
-        return None
-    return Budget(
-        deadline=args.timeout,
-        max_solver_queries=args.max_solver_queries,
-        max_steps=args.max_steps,
-    )
+    limits = _budget_limits(args)
+    return Budget(**limits) if limits is not None else None
 
 
 def _budget_spec(args: argparse.Namespace):
     """The per-job budget for batch/serve (None if no flags given)."""
     from ..svc import BudgetSpec
 
-    if (
-        args.timeout is None
-        and args.max_solver_queries is None
-        and args.max_steps is None
-    ):
-        return None
-    return BudgetSpec(
-        deadline=args.timeout,
-        max_solver_queries=args.max_solver_queries,
-        max_steps=args.max_steps,
-    )
+    limits = _budget_limits(args)
+    return BudgetSpec(**limits) if limits is not None else None
 
 
 def _service_config(args: argparse.Namespace):
@@ -480,10 +474,11 @@ def _serve_command(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     from ..svc import (
         GateConfig,
+        HttpFrontEnd,
         RequestLimits,
-        serve_http,
+        SocketFrontEnd,
         serve_lines,
-        serve_socket,
+        serve_until_drained,
     )
 
     gate_config = GateConfig(
@@ -523,17 +518,16 @@ def _serve_command(args: argparse.Namespace) -> int:
                 for sig in (signal.SIGTERM, signal.SIGINT):
                     signal.signal(sig, lambda *_: front.initiate_drain())
 
-        runner = serve_http if args.http else serve_socket
-        served = runner(
+        front_cls = HttpFrontEnd if args.http else SocketFrontEnd
+        front = front_cls(
             host,
             int(port_s),
-            config=_service_config(args),
-            gate_config=gate_config,
-            limits=limits,
-            stats=args.stats,
+            _service_config(args),
+            gate_config,
+            limits,
             stats_interval=args.stats_interval,
-            ready=ready,
         )
+        served = serve_until_drained(front, stats=args.stats, ready=ready)
         print(f"drained; served {served} jobs", file=sys.stderr)
         return EXIT_OK
 

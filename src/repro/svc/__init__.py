@@ -65,7 +65,7 @@ from .job import (
     KINDS,
     execute_job,
 )
-from .http import HttpFrontEnd, serve_http
+from .http import HttpFrontEnd
 from .lifecycle import LifecyclePolicy, current_rss_bytes, parse_size
 from .pool import WorkerPool
 from .retry import RetryPolicy
@@ -74,14 +74,15 @@ from .serve import (
     RequestError,
     RequestLimits,
     SocketFrontEnd,
+    StdinFrontEnd,
     mint_trace_id,
     parse_line,
     parse_request,
     serve_lines,
-    serve_socket,
+    serve_until_drained,
 )
 from .service import AnalysisService, ServiceConfig, chaos_from_env
-from .telemetry import ServeStats, TelemetryConfig, latency_summary
+from .telemetry import KindLatency, ServeStats, TelemetryConfig
 
 __all__ = [
     "AdmissionGate",
@@ -99,6 +100,7 @@ __all__ = [
     "JobResult",
     "JobSpec",
     "KINDS",
+    "KindLatency",
     "LifecyclePolicy",
     "RequestError",
     "RequestLimits",
@@ -107,6 +109,7 @@ __all__ = [
     "ServiceConfig",
     "Shed",
     "SocketFrontEnd",
+    "StdinFrontEnd",
     "TelemetryConfig",
     "Ticket",
     "TokenBucket",
@@ -116,13 +119,11 @@ __all__ = [
     "collect_program_paths",
     "current_rss_bytes",
     "execute_job",
-    "latency_summary",
     "mint_trace_id",
     "parse_line",
     "parse_size",
     "parse_request",
     "run_batch",
-    "serve_http",
     "serve_lines",
-    "serve_socket",
+    "serve_until_drained",
 ]

@@ -51,7 +51,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import IO, Any, Callable, Optional
 
 from .gate import GateConfig, SHED_QUOTA
-from .serve import FrontEndBase, RequestLimits
+from .serve import NO_REPLY, FrontEndBase, RequestLimits
 from .service import ServiceConfig
 
 #: Slack added on top of ``max_source_bytes`` for the JSON envelope
@@ -148,27 +148,12 @@ class _Handler(BaseHTTPRequestHandler):
         except OSError:
             return  # client vanished mid-upload
         default_id = f"http-{threading.get_ident()}-{id(self)}"
-
-        done = threading.Event()
-        box: dict[str, Any] = {}
-
-        def reply(doc: dict[str, Any]) -> None:
-            box["doc"] = doc
-            done.set()
-
-        self.front.handle_line(body, default_id, reply)
-        # Probes, errors, and sheds reply synchronously from
-        # handle_line; only an admitted job waits on the dispatcher.
-        # Bound the wait by the worst case the gate allows: full
-        # deadline in queue + the drain window, plus margin.
-        gate_cfg = self.front.gate.config
-        timeout = gate_cfg.max_deadline + gate_cfg.drain_timeout + 10.0
-        if not done.wait(timeout):
+        doc = self.front.request(body, default_id)
+        if doc is None:
             self._send_json(
-                504, {"error": "no reply from the dispatcher", "id": default_id}
+                504, {"error": NO_REPLY, "id": default_id}
             )
             return
-        doc = box["doc"]
         if doc.get("shed"):
             retry_after = max(1, math.ceil(float(doc.get("retry_after", 1.0))))
             self._send_json(
@@ -240,49 +225,3 @@ class HttpFrontEnd(FrontEndBase):
             self._server.server_close()
         except OSError:
             pass
-
-
-def serve_http(
-    host: str,
-    port: int,
-    config: Optional[ServiceConfig] = None,
-    *,
-    gate_config: Optional[GateConfig] = None,
-    limits: Optional[RequestLimits] = None,
-    stats: bool = False,
-    stats_interval: float = 0.0,
-    err: Optional[IO[str]] = None,
-    ready: Optional[Callable[["HttpFrontEnd"], None]] = None,
-) -> int:
-    """Run an :class:`HttpFrontEnd` until drained; returns jobs served.
-
-    ``ready`` is called with the live front-end once it is listening
-    (the CLI uses it to print the bound address and install SIGTERM).
-    """
-    import sys
-
-    front = HttpFrontEnd(
-        host,
-        port,
-        config,
-        gate_config,
-        limits,
-        stats_interval=stats_interval,
-        err=err,
-    )
-    front.start()
-    if ready is not None:
-        ready(front)
-    try:
-        while not front.wait(timeout=0.2):
-            pass
-    finally:
-        front.close()
-    if stats:
-        stream = err if err is not None else sys.stderr
-        svc = getattr(front, "_svc", None)
-        stream.write(
-            front.tracker.summary(svc.breakers if svc else None) + "\n"
-        )
-        stream.flush()
-    return front.served

@@ -1,4 +1,4 @@
-"""``fast serve``: JSONL serving front-ends (stdin loop and socket).
+"""``fast serve``: the serving core and its stdin and socket transports.
 
 The minimal serving surface: one JSON object per input line describes a
 request, one JSON object per output line reports its outcome.  Request
@@ -24,13 +24,16 @@ an ``id`` echo), shed notices (``{"id": ..., "shed": true, "reason":
 dies on bad input — the same posture the worker pool takes toward bad
 jobs.
 
-Both front-ends put every request through the same
-:class:`~repro.svc.gate.AdmissionGate`:
+All three transports are :class:`FrontEndBase` subclasses, so every
+request goes through the same parse, :class:`~repro.svc.gate.AdmissionGate`
+and dispatcher code, and one function, :func:`serve_until_drained`,
+runs each of them until drained:
 
-* :func:`serve_lines` — the ``--stdin-jsonl`` loop: synchronous, one
-  request at a time, so its queue never builds, but deadline clamping,
-  tenant quotas, and the ``health`` kind behave identically to the
-  socket path.  Stdin EOF is the drain signal.
+* :class:`StdinFrontEnd` (via :func:`serve_lines`) — ``--stdin-jsonl``:
+  synchronous and ordered.  The caller's thread reads a line, waits
+  for its reply, writes it, and only then reads the next line, so one
+  request is in flight and the queue bound never sheds stdin input.
+  Stdin EOF is the drain signal.
 
 * :class:`SocketFrontEnd` — ``--listen HOST:PORT``: one reader thread
   per connection feeding a bounded pending queue, one dispatcher
@@ -40,6 +43,8 @@ Both front-ends put every request through the same
   stream back as each job decides.  SIGTERM initiates graceful drain:
   stop admitting, finish what was admitted (up to the gate's drain
   timeout), close the pool, exit 0.
+
+* :class:`~repro.svc.http.HttpFrontEnd` — ``--http HOST:PORT``.
 
 The service — pool, breakers, warm workers — persists across requests,
 so a poisonous request kind trips its breaker for subsequent requests
@@ -60,11 +65,11 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import IO, Any, Callable, Iterator, Optional
+from typing import IO, Any, Callable, Iterable, Optional
 
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
-from .gate import AdmissionGate, GateConfig, SHED_DRAINING, Shed, Ticket
+from .gate import AdmissionGate, GateConfig, Shed, Ticket
 from .job import KINDS, BudgetSpec, JobSpec
 from .service import AnalysisService, ServiceConfig
 from .telemetry import ServeStats
@@ -78,6 +83,10 @@ _BUDGET_KEYS = ("deadline", "max_solver_queries", "max_steps")
 #: Client-supplied trace ids: printable, no whitespace, bounded — an id
 #: is a correlation token, not a payload channel.
 _TRACE_ID_RE = re.compile(r"^[\x21-\x7e]{1,128}$")
+
+#: The error a transport answers when :meth:`FrontEndBase.request`
+#: times out waiting for the dispatcher.
+NO_REPLY = "no reply from the dispatcher"
 
 
 def mint_trace_id() -> str:
@@ -117,11 +126,6 @@ class RequestLimits:
 
     root: Optional[str] = None
     max_source_bytes: int = 1 << 20
-
-    @classmethod
-    def local(cls) -> "RequestLimits":
-        """The stdin-loop default: files confined to the cwd."""
-        return cls(root=os.getcwd())
 
 
 @dataclass
@@ -292,122 +296,6 @@ def parse_line(
     return Request(client_id, spec=spec, tenant=tenant, trace_id=trace_id)
 
 
-# -- the stdin-JSONL loop ----------------------------------------------------
-
-
-def serve_lines(
-    lines: Iterator[str],
-    out: IO[str],
-    config: Optional[ServiceConfig] = None,
-    *,
-    gate_config: Optional[GateConfig] = None,
-    limits: Optional[RequestLimits] = None,
-    stats: bool = False,
-    stats_interval: float = 0.0,
-    err: Optional[IO[str]] = None,
-    stop: Optional[threading.Event] = None,
-    clock=time.monotonic,
-) -> int:
-    """Serve until the input ends; returns the number of jobs served.
-
-    Every request passes through an :class:`AdmissionGate` (quota and
-    deadline semantics identical to the socket front-end; the queue
-    bound is moot because this loop is synchronous).  ``stop`` — when
-    given — drains the loop from outside (the CLI sets it on SIGTERM):
-    the current job finishes, no further line is admitted.
-
-    A vanished client (``BrokenPipeError``/``EPIPE`` on ``out``) ends
-    the loop cleanly with the jobs-served count instead of a traceback:
-    dying because the consumer left is the one failure mode a serving
-    loop must not have.
-
-    With ``stats_interval > 0`` a rolling ``[svc] ... jobs/s ... p95=...``
-    line goes to ``err`` (default stderr) at most every that many
-    seconds; with ``stats`` a ``fast top``-style per-kind summary table
-    is printed when the input ends.  Result lines on ``out`` are
-    untouched either way — stats are operator chatter, not protocol.
-    """
-    served = 0
-    err = err if err is not None else sys.stderr
-    config = config or ServiceConfig()
-    gate = AdmissionGate(
-        gate_config or GateConfig(workers=config.jobs), clock=clock
-    )
-    # The tracker always exists — the `stats` request kind reads its
-    # live windows whether or not operator stats output was asked for.
-    tracker = ServeStats(clock=clock)
-    with AnalysisService(config) as svc:
-        for index, line in enumerate(lines):
-            if stop is not None and stop.is_set():
-                gate.start_drain()
-                break
-            line = line.strip()
-            if not line:
-                continue
-            default_id = f"line-{index + 1}"
-            try:
-                request = parse_line(line, default_id, limits)
-            except (ValueError, OSError) as exc:
-                _OBS_BAD_REQUESTS.inc()
-                error_doc = {
-                    "id": getattr(exc, "client_id", default_id),
-                    "error": str(exc),
-                }
-                trace_id = getattr(exc, "trace_id", None)
-                if trace_id:
-                    error_doc["trace_id"] = trace_id
-                if not _emit(out, error_doc):
-                    break
-                continue
-            if request.health:
-                health = gate.health(svc.breakers, workers=config.jobs)
-                health["id"] = request.client_id
-                health["trace_id"] = request.trace_id
-                if not _emit(out, health):
-                    break
-                continue
-            if request.stats:
-                if not _emit(out, stats_response(request, tracker, served)):
-                    break
-                continue
-            with obs_tracer.trace_context(request.trace_id):
-                with obs_tracer.span(
-                    "svc.admission",
-                    id=request.client_id,
-                    kind=request.spec.kind,
-                    tenant=request.tenant,
-                ):
-                    decision = gate.admit(request.spec, request.tenant)
-                if isinstance(decision, Shed):
-                    tracker.record_shed(decision.reason, request.tenant)
-                    if not _emit(out, decision.response(request.client_id)):
-                        break
-                    continue
-                with obs_tracer.span("svc.dispatch", id=request.client_id):
-                    released = gate.release(decision)
-                if isinstance(released, Shed):
-                    tracker.record_shed(released.reason, request.tenant)
-                    if not _emit(out, released.response(request.client_id)):
-                        break
-                    continue
-                result = svc.run_job(released)
-            gate.note_served(result.duration)
-            doc = result.to_dict()
-            doc["id"] = request.client_id
-            doc.setdefault("trace_id", request.trace_id)
-            if not _emit(out, doc):
-                break
-            served += 1
-            tracker.record(result, request.tenant)
-            if tracker.due(stats_interval):
-                err.write(tracker.line(svc.breakers) + "\n")
-                err.flush()
-        if stats:
-            err.write(tracker.summary(svc.breakers) + "\n")
-            err.flush()
-    return served
-
-
 def stats_response(
     request: Request, tracker: ServeStats, served: int
 ) -> dict[str, Any]:
@@ -441,23 +329,25 @@ def _emit(out: IO[str], doc: dict[str, Any]) -> bool:
 
 
 class FrontEndBase:
-    """The transport-agnostic serving core behind the socket and HTTP
-    front-ends: one :class:`AdmissionGate`, one bounded pending queue,
-    one dispatcher thread owning the (single-threaded)
+    """The transport-agnostic serving core behind the stdin, socket and
+    HTTP front-ends: one :class:`AdmissionGate`, one bounded pending
+    queue, one dispatcher thread owning the (single-threaded)
     :class:`AnalysisService`.
 
     A transport's job is only to turn its inbound payloads into calls
-    to :meth:`handle_line` with a ``reply`` callback, and to shut its
+    to :meth:`handle_line` with a ``reply`` callback (or to
+    :meth:`request`, which waits for that one reply), and to shut its
     listener in :meth:`_shutdown_transport` — admission, quotas,
     deadline propagation, trace-id handling, live stats, and drain
     semantics live here once and cannot drift between transports.
 
-    * **Caller threads** (connection readers, HTTP handler threads) run
-      parse + gate inline — health/stats probes, parse errors, and shed
-      decisions are answered right there, without the dispatcher, which
-      is what keeps refusal latency flat under any backlog; admitted
-      tickets go onto the pending queue (bounded by the gate, so the
-      queue object itself never grows past ``max_queue``).
+    * **Caller threads** (the stdin reader, connection readers, HTTP
+      handler threads) run parse + gate inline — health/stats probes,
+      parse errors, and shed decisions are answered right there,
+      without the dispatcher, which is what keeps refusal latency flat
+      under any backlog; admitted tickets go onto the pending queue
+      (bounded by the gate, so the queue object itself never grows
+      past ``max_queue``).
     * The **dispatcher thread** pulls micro-batches of up to ``jobs``
       tickets, re-checks each ticket's remaining deadline (queue time
       burned the budget; an expired ticket sheds without dispatch), and
@@ -500,6 +390,7 @@ class FrontEndBase:
         self._seq = 0
         self._seq_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
+        self._svc: Optional[AnalysisService] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -513,6 +404,12 @@ class FrontEndBase:
 
     def _shutdown_transport(self) -> None:
         """Transport hook: stop accepting new payloads (idempotent)."""
+
+    def run_transport(self) -> None:
+        """Transport hook: foreground work on the caller's thread.
+
+        Threaded transports do nothing here; stdin reads its lines.
+        """
 
     def initiate_drain(self) -> None:
         """Stop admitting; finish admitted work; then shut down."""
@@ -541,7 +438,7 @@ class FrontEndBase:
 
     def health_doc(self) -> dict[str, Any]:
         """The ``health`` ledger (gate + breakers + worker lifecycle)."""
-        svc = getattr(self, "_svc", None)
+        svc = self._svc
         return self.gate.health(
             svc.breakers if svc is not None else None,
             workers=self.config.jobs,
@@ -560,7 +457,7 @@ class FrontEndBase:
         from ..obs import config as obs_config
         from ..obs.live import render_prometheus
 
-        svc = getattr(self, "_svc", None)
+        svc = self._svc
         return render_prometheus(
             gate=self.gate,
             breakers=svc.breakers if svc is not None else None,
@@ -612,6 +509,28 @@ class FrontEndBase:
             return
         decision.reply = reply
         self._queue.put(decision)
+
+    def request(self, line: str, default_id: str) -> Optional[dict[str, Any]]:
+        """:meth:`handle_line`, then wait for its one reply.
+
+        Probes, errors, and sheds reply from inside ``handle_line``;
+        only an admitted job waits on the dispatcher.  The wait is
+        bounded by the worst case the gate allows (full deadline in
+        queue + the drain window, plus margin); past it the result is
+        ``None``.
+        """
+        done = threading.Event()
+        box: dict[str, Any] = {}
+
+        def reply(doc: dict[str, Any]) -> None:
+            box["doc"] = doc
+            done.set()
+
+        self.handle_line(line, default_id, reply)
+        gate_cfg = self.gate.config
+        if not done.wait(gate_cfg.max_deadline + gate_cfg.drain_timeout + 10.0):
+            return None
+        return box["doc"]
 
     # -- the dispatcher ----------------------------------------------------
 
@@ -702,13 +621,15 @@ class FrontEndBase:
             # Fabricated results (crash past retries, open breaker)
             # never saw the worker, so the spec's id fills the gap.
             doc.setdefault("trace_id", ticket.spec.trace_id)
-            if ticket.reply is not None:
-                ticket.reply(doc)
+            # Count before replying: a client that reads its reply and
+            # then asks for stats (or health) sees the job counted.
             self.gate.note_served(
                 result.duration or (self.clock() - started)
             )
             self.served += 1
             self.tracker.record(result, ticket.tenant)
+            if ticket.reply is not None:
+                ticket.reply(doc)
 
         svc.run_jobs(specs, on_result=deliver)
         if self.tracker.due(self.stats_interval):
@@ -716,6 +637,93 @@ class FrontEndBase:
             # journal spill writes or other stderr traffic mid-line.
             self.err.write(self.tracker.line(svc.breakers) + "\n")
             self.err.flush()
+
+
+# -- the stdin front-end -----------------------------------------------------
+
+
+class StdinFrontEnd(FrontEndBase):
+    """``fast serve --stdin-jsonl``: JSONL lines in, replies out, in order.
+
+    The caller's thread is the transport: it passes each non-blank line
+    to :meth:`request` and writes the reply before it reads the next
+    line.  One request is in flight at a time, so replies keep request
+    order and the gate's queue bound never sheds stdin input.  Input
+    EOF, a set ``stop`` event, or a vanished reader (``EPIPE`` on
+    ``out``) ends the loop and starts the drain.
+
+    ``written`` counts job replies actually written to ``out`` — a job
+    whose reply hit a closed pipe ran, but was not served to anyone.
+    """
+
+    def __init__(
+        self,
+        lines: Iterable[str],
+        out: IO[str],
+        stop: Optional[threading.Event] = None,
+        config: Optional[ServiceConfig] = None,
+        gate_config: Optional[GateConfig] = None,
+        limits: Optional[RequestLimits] = None,
+        stats_interval: float = 0.0,
+        err: Optional[IO[str]] = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        super().__init__(
+            config, gate_config, limits, stats_interval, err, clock
+        )
+        self.lines = lines
+        self.out = out
+        self.stop = stop
+        self.written = 0
+
+    def run_transport(self) -> None:
+        for index, line in enumerate(self.lines):
+            if self.stop is not None and self.stop.is_set():
+                break
+            line = line.strip()
+            if not line:
+                continue
+            default_id = f"line-{index + 1}"
+            served_before = self.served
+            doc = self.request(line, default_id)
+            if doc is None:
+                doc = {"id": default_id, "error": NO_REPLY}
+            if not _emit(self.out, doc):
+                break
+            self.written += self.served - served_before
+        self.initiate_drain()
+
+
+def serve_lines(
+    lines: Iterable[str],
+    out: IO[str],
+    config: Optional[ServiceConfig] = None,
+    *,
+    gate_config: Optional[GateConfig] = None,
+    limits: Optional[RequestLimits] = None,
+    stats: bool = False,
+    stats_interval: float = 0.0,
+    err: Optional[IO[str]] = None,
+    stop: Optional[threading.Event] = None,
+    clock: Callable[[], float] = time.monotonic,
+) -> int:
+    """Serve ``lines`` through a :class:`StdinFrontEnd` until the input
+    ends; returns the number of job replies written to ``out``.
+
+    ``stop`` — when given — drains the loop from outside (the CLI sets
+    it on SIGTERM): the current job finishes, no further line is read.
+    ``limits`` defaults to :class:`RequestLimits`' own default, which
+    rejects ``file`` requests; the CLI passes a cwd-rooted limit.
+    ``stats``/``stats_interval`` are as for :func:`serve_until_drained`
+    and :class:`FrontEndBase`: operator chatter on ``err``, never on
+    ``out``.
+    """
+    front = StdinFrontEnd(
+        lines, out, stop, config, gate_config, limits, stats_interval,
+        err, clock,
+    )
+    serve_until_drained(front, stats=stats)
+    return front.written
 
 
 # -- the socket front-end ----------------------------------------------------
@@ -832,45 +840,34 @@ class SocketFrontEnd(FrontEndBase):
             # write half after the client half-closes its read side.
 
 
-def serve_socket(
-    host: str,
-    port: int,
-    config: Optional[ServiceConfig] = None,
+def serve_until_drained(
+    front: FrontEndBase,
     *,
-    gate_config: Optional[GateConfig] = None,
-    limits: Optional[RequestLimits] = None,
     stats: bool = False,
-    stats_interval: float = 0.0,
-    err: Optional[IO[str]] = None,
-    ready: Optional[Callable[["SocketFrontEnd"], None]] = None,
+    ready: Optional[Callable[[FrontEndBase], None]] = None,
 ) -> int:
-    """Run a :class:`SocketFrontEnd` until drained; returns jobs served.
+    """Run any front-end until drained; returns jobs served.
 
-    ``ready`` is called with the live front-end once it is listening
-    (the CLI uses it to print the bound address and install SIGTERM).
+    ``ready`` is called with the live front-end once it is started (the
+    CLI uses it to print the bound address and install SIGTERM).  The
+    transport's foreground work (:meth:`FrontEndBase.run_transport`)
+    runs on this thread; the function then waits for the drain to
+    finish.  With ``stats`` a ``fast top``-style per-kind summary table
+    goes to the front-end's ``err`` stream at the end.
     """
-    front = SocketFrontEnd(
-        host,
-        port,
-        config,
-        gate_config,
-        limits,
-        stats_interval=stats_interval,
-        err=err,
-    )
     front.start()
-    if ready is not None:
-        ready(front)
     try:
+        if ready is not None:
+            ready(front)
+        front.run_transport()
         while not front.wait(timeout=0.2):
             pass
     finally:
         front.close()
     if stats:
-        stream = err if err is not None else sys.stderr
-        svc = getattr(front, "_svc", None)
-        stream.write(
+        svc = front._svc
+        front.err.write(
             front.tracker.summary(svc.breakers if svc else None) + "\n"
         )
-        stream.flush()
+        front.err.flush()
     return front.served

@@ -71,7 +71,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 from ..obs.journal import Event, Journal
 from ..obs.live import LiveStats
-from ..obs.metrics import Counter, Gauge, Histogram, percentile
+from ..obs.metrics import Counter, Gauge, Histogram
 from ..obs.report import span_to_dict
 from .job import JobResult, JobSpec, execute_job
 
@@ -438,12 +438,99 @@ def format_quantiles(hist: Histogram, scale: float = 1e3) -> str:
     )
 
 
+def format_breakers(states: dict[str, str]) -> list[str]:
+    """The ``breakers: kind=state ...`` line, or nothing when empty."""
+    if not states:
+        return []
+    return [
+        "breakers: " + " ".join(f"{k}={v}" for k, v in sorted(states.items()))
+    ]
+
+
+class KindLatency:
+    """Per-kind worker latency and retry counts.
+
+    The one aggregation behind ``fast batch --json``'s ``latency`` block
+    and both ``--stats`` tables (``fast batch`` and ``fast serve``).  A
+    result's worker-side :attr:`~repro.svc.job.JobResult.duration` goes
+    into its kind's :class:`~repro.obs.metrics.Histogram` only when a
+    worker ran it (``worker_pid`` set); results that never executed
+    (crashes past the retry cap, open breakers) still count their
+    retries.  Stand-alone histograms, so it works with observability
+    off.  ``reservoir_size`` at least the number of results keeps the
+    quantiles exact.
+    """
+
+    def __init__(self, reservoir_size: int = Histogram.RESERVOIR_SIZE) -> None:
+        self.reservoir_size = reservoir_size
+        self.hists: dict[str, Histogram] = {}
+        self.retries: dict[str, int] = {}
+
+    @classmethod
+    def of(cls, results: list[JobResult]) -> "KindLatency":
+        """An exact accumulator over a finished result list."""
+        acc = cls(reservoir_size=max(1, len(results)))
+        for result in results:
+            acc.record(result)
+        return acc
+
+    def record(self, result: JobResult) -> None:
+        kind = result.kind
+        self.retries[kind] = self.retries.get(kind, 0) + max(
+            0, result.attempts - 1
+        )
+        if result.worker_pid is not None:
+            hist = self.hists.get(kind)
+            if hist is None:
+                hist = self.hists[kind] = Histogram(
+                    reservoir_size=self.reservoir_size
+                )
+            hist.observe(result.duration)
+
+    def summary(self) -> dict[str, dict[str, Any]]:
+        """The ``latency`` dict: per kind, count + retries + quantiles (ms)."""
+        out: dict[str, dict[str, Any]] = {}
+        for kind in sorted(self.retries):
+            hist = self.hists.get(kind)
+            entry: dict[str, Any] = {
+                "count": hist.count if hist is not None else 0,
+                "retries": self.retries[kind],
+            }
+            if hist is not None:
+                snap = hist.snapshot()
+                for key in ("p50", "p95", "p99", "mean", "max"):
+                    entry[f"{key}_ms"] = round(snap[key] * 1e3, 3)
+            out[kind] = entry
+        return out
+
+    def table(self, title: str) -> list[str]:
+        """The ``fast top``-style table: title, header, one row per kind."""
+        lines = [
+            title,
+            f"{'kind':<12} {'jobs':>6} {'retries':>8} "
+            f"{'p50':>9} {'p95':>9} {'p99':>9} {'max':>9}",
+        ]
+        for kind, entry in self.summary().items():
+            if entry["count"]:
+                lines.append(
+                    f"{kind:<12} {entry['count']:>6} {entry['retries']:>8} "
+                    f"{entry['p50_ms']:>7.1f}ms {entry['p95_ms']:>7.1f}ms "
+                    f"{entry['p99_ms']:>7.1f}ms {entry['max_ms']:>7.1f}ms"
+                )
+            else:
+                lines.append(
+                    f"{kind:<12} {0:>6} {entry['retries']:>8} "
+                    f"{'-':>9} {'-':>9} {'-':>9} {'-':>9}"
+                )
+        return lines
+
+
 class ServeStats:
     """Rolling per-kind latency/throughput stats for ``fast serve``.
 
-    Independent of the global obs switch: stand-alone (unregistered,
-    un-journaled) histograms accumulate per-kind worker execution times
-    for the whole-run ``summary()`` table, and a
+    Independent of the global obs switch: a :class:`KindLatency`
+    accumulates per-kind worker execution times for the whole-run
+    ``summary()`` table, and a
     :class:`~repro.obs.live.LiveStats` window aggregator backs the
     rolling ``line()`` updates — including one row per active tenant
     over the short window, so a multi-tenant overload is visible *as*
@@ -463,8 +550,7 @@ class ServeStats:
         self.window_started = self.started
         self.window_jobs = 0
         self.total_jobs = 0
-        self.hists: dict[str, Histogram] = {}
-        self.retries: dict[str, int] = {}
+        self.latency = KindLatency()
         self.shed: dict[str, int] = {}
         self.shed_total = 0
         self.live = live if live is not None else LiveStats(clock=clock)
@@ -478,16 +564,10 @@ class ServeStats:
     def record(self, result: JobResult, tenant: str = "default") -> None:
         self.total_jobs += 1
         self.window_jobs += 1
-        self.retries[result.kind] = (
-            self.retries.get(result.kind, 0) + max(0, result.attempts - 1)
-        )
+        self.latency.record(result)
         self.live.record_served(
             result.kind, tenant, result.duration, outcome=result.outcome
         )
-        if result.worker_pid is not None:
-            self.hists.setdefault(result.kind, Histogram()).observe(
-                result.duration
-            )
 
     def due(self, interval: float) -> bool:
         return interval > 0 and self.clock() - self.window_started >= interval
@@ -536,44 +616,16 @@ class ServeStats:
         parts = [f"{self.window_jobs / elapsed:.1f} jobs/s"]
         if self.shed_total:
             parts.append(f"shed={self.shed_total}")
-        for kind in sorted(self.hists):
-            h = self.hists[kind]
+        for kind, h in sorted(self.latency.hists.items()):
             parts.append(f"{kind} n={h.count} {format_quantiles(h)}")
-        states = _breaker_states(breakers)
-        if states:
-            parts.append(
-                "breakers: "
-                + " ".join(f"{k}={v}" for k, v in sorted(states.items()))
-            )
+        parts.extend(format_breakers(_breaker_states(breakers)))
         self.window_started = self.clock()
         self.window_jobs = 0
         return "\n".join(["[svc] " + " | ".join(parts)] + self._tenant_rows())
 
     def summary(self, breakers=None) -> str:
         """The ``fast top``-style closing table."""
-        lines = ["== svc stats =="]
-        header = (
-            f"{'kind':<12} {'jobs':>6} {'retries':>8} "
-            f"{'p50':>9} {'p95':>9} {'p99':>9} {'max':>9}"
-        )
-        lines.append(header)
-        for kind in sorted(set(self.hists) | set(self.retries)):
-            h = self.hists.get(kind)
-            if h is not None and h.count:
-                row = (
-                    f"{kind:<12} {h.count:>6} "
-                    f"{self.retries.get(kind, 0):>8} "
-                    f"{h.quantile(0.5) * 1e3:>7.1f}ms "
-                    f"{h.quantile(0.95) * 1e3:>7.1f}ms "
-                    f"{h.quantile(0.99) * 1e3:>7.1f}ms "
-                    f"{(h.max or 0) * 1e3:>7.1f}ms"
-                )
-            else:
-                row = (
-                    f"{kind:<12} {0:>6} {self.retries.get(kind, 0):>8} "
-                    f"{'-':>9} {'-':>9} {'-':>9} {'-':>9}"
-                )
-            lines.append(row)
+        lines = self.latency.table("== svc stats ==")
         elapsed = max(self.clock() - self.started, 1e-9)
         lines.append(
             f"{self.total_jobs} jobs in {elapsed:.1f}s "
@@ -585,12 +637,7 @@ class ServeStats:
                 for reason, count in sorted(self.shed.items())
             )
             lines.append(f"shed: {self.shed_total} ({breakdown})")
-        states = _breaker_states(breakers)
-        if states:
-            lines.append(
-                "breakers: "
-                + " ".join(f"{k}={v}" for k, v in sorted(states.items()))
-            )
+        lines.extend(format_breakers(_breaker_states(breakers)))
         return "\n".join(lines)
 
 
@@ -598,37 +645,3 @@ def _breaker_states(breakers) -> dict[str, str]:
     if breakers is None:
         return {}
     return {kind: b.state for kind, b in breakers.breakers.items()}
-
-
-def latency_summary(results: list[JobResult]) -> dict[str, dict[str, Any]]:
-    """Per-kind latency quantiles + retry counts from a result list.
-
-    Computed straight from :class:`JobResult` durations (worker-side
-    execution time), so it works with observability off — this is what
-    ``fast batch --json`` embeds.  Jobs that never executed anywhere
-    (crashes past the retry cap, open breakers) have no duration and
-    are excluded from the quantiles but still counted in ``retries``.
-    """
-    durations: dict[str, list[float]] = {}
-    retries: dict[str, int] = {}
-    for r in results:
-        retries[r.kind] = retries.get(r.kind, 0) + max(0, r.attempts - 1)
-        if r.worker_pid is not None:
-            durations.setdefault(r.kind, []).append(r.duration)
-    out: dict[str, dict[str, Any]] = {}
-    for kind in sorted(set(durations) | set(retries)):
-        durs = sorted(durations.get(kind, ()))
-        entry: dict[str, Any] = {
-            "count": len(durs),
-            "retries": retries.get(kind, 0),
-        }
-        if durs:
-            entry.update(
-                p50_ms=round(percentile(durs, 0.50) * 1e3, 3),
-                p95_ms=round(percentile(durs, 0.95) * 1e3, 3),
-                p99_ms=round(percentile(durs, 0.99) * 1e3, 3),
-                mean_ms=round(sum(durs) / len(durs) * 1e3, 3),
-                max_ms=round(durs[-1] * 1e3, 3),
-            )
-        out[kind] = entry
-    return out

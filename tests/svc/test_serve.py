@@ -415,3 +415,42 @@ class TestServeLines:
         ]
         assert replies[2]["reason"] == "quota"
         assert replies[2]["retry_after"] > 0
+
+    def test_file_request_without_limits_is_refused(self, tmp_path):
+        # No limits: the front-end's default RequestLimits rejects
+        # 'file' requests, so a client cannot read (or get echoed) an
+        # arbitrary server-side path.
+        secret = tmp_path / "secret.txt"
+        secret.write_text("TOP-SECRET-4242 not a fast program\n")
+        lines = [json.dumps({"id": "peek", "kind": "run", "file": str(secret)})]
+        out = io.StringIO()
+        served = serve_lines(iter(lines), out, ServiceConfig(jobs=1))
+        reply = json.loads(out.getvalue())
+        assert served == 0
+        assert reply["id"] == "peek"
+        assert "error" in reply
+        assert "TOP-SECRET-4242" not in out.getvalue()
+
+    def test_replies_keep_request_order_and_never_shed(self):
+        from repro.svc import GateConfig
+
+        # More requests than the queue holds, more workers than one:
+        # stdin keeps one request in flight, so nothing is shed for
+        # queue-full and replies come back in request order.
+        ids = [f"r{i}" for i in range(6)]
+        lines = [
+            json.dumps({"id": i, "kind": "run", "source": PASSING})
+            for i in ids
+        ]
+        out = io.StringIO()
+        served = serve_lines(
+            iter(lines),
+            out,
+            ServiceConfig(jobs=2),
+            gate_config=GateConfig(max_queue=2, workers=2),
+        )
+        replies = [json.loads(l) for l in out.getvalue().splitlines()]
+        assert served == len(ids)
+        assert [r["id"] for r in replies] == ids
+        assert not any(r.get("shed") for r in replies)
+        assert all(r["outcome"] == "PROVED" for r in replies)

@@ -538,3 +538,57 @@ class TestServeStatsLine:
         assert "shed: 2" in summary
         assert "quota=1" in summary
         assert "queue-full=1" in summary
+
+    def test_batch_and_serve_tables_share_one_aggregation(self):
+        from repro.obs.metrics import percentile
+        from repro.svc.batch import BatchReport
+
+        durations = [0.011, 0.052, 0.003, 0.027, 0.090, 0.018]
+        results = [_result(duration=d) for d in durations]
+        results.append(_result(kind="emptiness", duration=0.007))
+        # Never ran on a worker (crash past the retry cap): no latency
+        # sample, but its two retries count.
+        results.append(JobResult(
+            job_id="lost", kind="run", outcome=UNKNOWN, duration=0.0,
+            attempts=3, worker_pid=None,
+        ))
+        report = BatchReport(results)
+        stats = tel.ServeStats(clock=_Clock())
+        for r in results:
+            stats.record(r)
+
+        def kind_rows(text):
+            return [
+                l for l in text.splitlines()
+                if l.split(" ", 1)[0] in ("run", "emptiness")
+            ]
+
+        batch_rows = kind_rows(report.render_stats())
+        assert len(batch_rows) == 2
+        assert batch_rows == kind_rows(stats.summary())
+
+        latency = report.latency()
+        run = latency["run"]
+        assert run["count"] == len(durations)
+        assert run["retries"] == 2
+        ordered = sorted(durations)
+        for key, q in (("p50_ms", 0.50), ("p95_ms", 0.95), ("p99_ms", 0.99)):
+            assert run[key] == round(percentile(ordered, q) * 1e3, 3)
+        assert run["max_ms"] == round(max(durations) * 1e3, 3)
+        assert run["mean_ms"] == pytest.approx(
+            sum(durations) / len(durations) * 1e3, abs=1e-3
+        )
+        assert latency["emptiness"]["count"] == 1
+
+    def test_batch_latency_is_exact_past_the_reservoir(self):
+        from repro.obs.metrics import Histogram, percentile
+        from repro.svc.batch import BatchReport
+
+        n = Histogram.RESERVOIR_SIZE * 2 + 1
+        durations = [((i * 7919) % n) / 1e4 for i in range(n)]
+        report = BatchReport([_result(duration=d) for d in durations])
+        run = report.latency()["run"]
+        ordered = sorted(durations)
+        assert run["count"] == n
+        for key, q in (("p50_ms", 0.50), ("p95_ms", 0.95), ("p99_ms", 0.99)):
+            assert run[key] == round(percentile(ordered, q) * 1e3, 3)

@@ -152,12 +152,14 @@ def _serve_live(
             released = gate.release(decision)
         assert not isinstance(released, Shed)
         result = svc.run_job(released)
-    gate.note_served(result.duration)
     doc = result.to_dict()
     doc["id"] = request.client_id
     doc.setdefault("trace_id", request.trace_id)
-    json.dumps(doc)
+    # Counted before the reply, as the front-end does: the gate's ledger
+    # (the only whole-run count) and the tracker's live windows.
+    gate.note_served(result.duration)
     tracker.record(result, request.tenant)
+    json.dumps(doc)
     return time.perf_counter() - t0
 
 

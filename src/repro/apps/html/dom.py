@@ -75,14 +75,3 @@ def _escape_attr(value: str) -> str:
 def serialize(nodes: list[Node]) -> str:
     """Serialize a forest back to HTML text."""
     return "".join(n.serialize() for n in nodes)
-
-
-def count_nodes(nodes: list[Node]) -> int:
-    total = 0
-    stack = list(nodes)
-    while stack:
-        n = stack.pop()
-        total += 1
-        if isinstance(n, Element):
-            stack.extend(n.children)
-    return total

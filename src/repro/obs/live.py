@@ -21,11 +21,12 @@ about the last minute's brownout).  This module keeps *recent* truth:
   flat gauge samples for the ``/metrics`` exposition.
 
 * :func:`render_prometheus` — Prometheus text exposition (version
-  0.0.4) over the pieces a server holds: its admission-gate ledger,
-  breaker states, live windows, and (optionally) the process-wide
-  metric registry.  The gate ledger — not the obs registry — feeds the
-  ``svc_gate_*`` families, so the exposition agrees exactly with the
-  wire-level served/shed partition even with observability off.
+  0.0.4) of a server's ``health`` snapshot (admission-gate ledger,
+  breaker states, worker lifecycle), its live windows, and
+  (optionally) the process-wide metric registry.  The gate ledger —
+  not the obs registry — feeds the ``svc_gate_*`` families, so the
+  exposition agrees exactly with the wire-level served/shed partition
+  even with observability off.
 
 **Bucket math.**  A window of ``span`` seconds uses ``buckets`` ring
 slots of width ``span / buckets``.  An event at time ``t`` lands in
@@ -390,37 +391,33 @@ _BREAKER_STATES = ("closed", "open", "half-open")
 
 
 def render_prometheus(
+    snapshot: Optional[dict[str, Any]] = None,
     *,
-    gate: Any = None,
-    breakers: Any = None,
     live: Optional[LiveStats] = None,
     registry: Any = None,
-    extra: Optional[dict[str, float]] = None,
-    pool: Any = None,
 ) -> str:
     """The server's state in Prometheus text exposition format.
 
-    * ``gate`` — an :class:`~repro.svc.gate.AdmissionGate`; its own
-      ledger feeds ``svc_gate_*`` so the exposition matches the wire
-      exactly, independent of the obs flag.
-    * ``breakers`` — a :class:`~repro.svc.breaker.BreakerRegistry`;
-      one-hot ``svc_breaker_state{kind=...,state=...}`` gauges.
+    * ``snapshot`` — a ``health`` document
+      (:meth:`~repro.svc.serve.FrontEndBase.health_doc`).  Its
+      ``counters`` feed ``svc_gate_*``, so the exposition matches the
+      wire exactly, independent of the obs flag; its ``breakers`` give
+      one-hot ``svc_breaker_state{kind=...,state=...}`` gauges; its
+      ``lifecycle`` (when present) gives per-worker gauges
+      (``svc_worker_rss_bytes``, ``svc_worker_generation``,
+      ``svc_worker_jobs_served``, labelled by worker id) and
+      ``svc_recycles_total{reason=...}``.
     * ``live`` — a :class:`LiveStats`; window totals and latency
       quantile gauges.
     * ``registry`` — an :class:`~repro.obs.metrics.Registry`; every
       registered counter/gauge/histogram, name-sanitized under the
       ``repro_`` prefix (histograms as quantile gauges + _count/_sum).
-    * ``extra`` — flat name -> value gauges (uptime, build info).
-    * ``pool`` — a :class:`~repro.svc.pool.WorkerPool`; per-worker
-      lifecycle gauges (``svc_worker_rss_bytes``,
-      ``svc_worker_generation``, ``svc_worker_jobs_served``, labelled
-      by worker id) and ``svc_recycles_total{reason=...}`` from the
-      pool's own ledger — like the gate, valid with obs off.
     """
     exp = _Exposition()
-    if pool is not None:
-        snapshot = pool.lifecycle_snapshot()
-        for row in snapshot["workers"]:
+    snapshot = snapshot or {}
+    lifecycle = snapshot.get("lifecycle")
+    if lifecycle is not None:
+        for row in lifecycle["workers"]:
             labels = {"worker": str(row["worker"])}
             exp.add(
                 "svc_worker_generation", "gauge",
@@ -445,22 +442,21 @@ def render_prometheus(
                     help_text="artifact-cache prewarm time of the "
                     "current generation",
                 )
-        for reason, count in sorted(snapshot["recycles"].items()):
+        for reason, count in sorted(lifecycle["recycles"].items()):
             exp.add(
                 "svc_recycles_total", "counter", float(count),
                 labels={"reason": reason},
                 help_text="proactive worker recycles by threshold",
             )
-    if gate is not None:
-        health = gate.health(breakers)
-        counters = health["counters"]
+    counters = snapshot.get("counters")
+    if counters is not None:
         exp.add(
-            "svc_gate_ready", "gauge", 1.0 if health["ready"] else 0.0,
+            "svc_gate_ready", "gauge", 1.0 if snapshot["ready"] else 0.0,
             help_text="1 while the gate admits new requests",
         )
-        exp.add("svc_gate_uptime_seconds", "gauge", health["uptime"])
-        exp.add("svc_gate_queue_depth", "gauge", health["queue_depth"])
-        exp.add("svc_gate_inflight", "gauge", health["inflight"])
+        exp.add("svc_gate_uptime_seconds", "gauge", snapshot["uptime"])
+        exp.add("svc_gate_queue_depth", "gauge", snapshot["queue_depth"])
+        exp.add("svc_gate_inflight", "gauge", snapshot["inflight"])
         exp.add(
             "svc_gate_admitted_total", "counter", counters["admitted"],
             help_text="requests past admission control",
@@ -475,17 +471,14 @@ def render_prometheus(
                 labels={"reason": reason},
                 help_text="requests refused with a shed response",
             )
-    if breakers is not None:
-        for kind, breaker in sorted(
-            getattr(breakers, "breakers", {}).items()
-        ):
-            for state in _BREAKER_STATES:
-                exp.add(
-                    "svc_breaker_state", "gauge",
-                    1.0 if breaker.state == state else 0.0,
-                    labels={"kind": kind, "state": state},
-                    help_text="one-hot circuit-breaker state per job kind",
-                )
+    for kind, current in sorted(snapshot.get("breakers", {}).items()):
+        for state in _BREAKER_STATES:
+            exp.add(
+                "svc_breaker_state", "gauge",
+                1.0 if current == state else 0.0,
+                labels={"kind": kind, "state": state},
+                help_text="one-hot circuit-breaker state per job kind",
+            )
     if live is not None:
         for name, labels, value in live.gauge_samples():
             exp.add(name, "gauge", value, labels=labels)
@@ -508,8 +501,6 @@ def render_prometheus(
                     )
                 exp.add(f"{pname}_count", "counter", snap["count"])
                 exp.add(f"{pname}_sum", "counter", snap["sum"])
-    for name, value in sorted((extra or {}).items()):
-        exp.add(metric_name(name), "gauge", value)
     return exp.render()
 
 

@@ -202,11 +202,7 @@ def run_batch(
         prewarm_shared_sources(specs)
     if service is not None:
         results = service.run_jobs(specs)
-        return BatchReport(results, _breaker_states(service))
+        return BatchReport(results, service.breakers.states())
     with AnalysisService(config) as svc:
         results = svc.run_jobs(specs)
-        return BatchReport(results, _breaker_states(svc))
-
-
-def _breaker_states(service: AnalysisService) -> dict[str, str]:
-    return {kind: b.state for kind, b in service.breakers.breakers.items()}
+        return BatchReport(results, svc.breakers.states())

@@ -155,3 +155,7 @@ class BreakerRegistry:
         if kind not in self.breakers:
             self.breakers[kind] = CircuitBreaker(kind, self.config, self.clock)
         return self.breakers[kind]
+
+    def states(self) -> dict[str, str]:
+        """Per-kind breaker state: the ``breakers`` of every report."""
+        return {kind: b.state for kind, b in self.breakers.items()}

@@ -33,8 +33,9 @@ that implicit, unbounded queue with explicit, deliberate policy:
   without ever touching a worker.  Queue time is not free time.
 
 * **Health.**  :meth:`AdmissionGate.health` snapshots readiness, queue
-  depth, per-reason shed counters, and per-kind breaker states into
-  one JSON-able dict — the payload of the ``health`` request kind.
+  depth, and the admitted/served/shed ledger into one JSON-able dict.
+  That ledger is the only whole-run count of the serving path; the
+  ``health`` reply, ``/metrics`` and ``--stats`` all read it.
 
 * **Graceful drain.**  :meth:`AdmissionGate.start_drain` stops
   admission (new requests shed with ``reason: "draining"``) while
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..obs import config as obs_config
@@ -413,26 +414,18 @@ class AdmissionGate:
         with self._lock:
             return self._inflight
 
-    def health(
-        self,
-        breakers: Any = None,
-        workers: Optional[int] = None,
-        pool: Any = None,
-    ) -> dict[str, Any]:
-        """The JSON-able payload of a ``health`` request.
+    def health(self, workers: Optional[int] = None) -> dict[str, Any]:
+        """The gate's own ledger, in the shape of a ``health`` reply.
 
         ``ready`` means "may I send you work and expect an answer" —
-        false once draining.  Counters come from the gate's own
-        bookkeeping (valid with observability off); breaker states are
-        read from the service's :class:`BreakerRegistry` when given;
-        with a ``pool`` the worker lifecycle snapshot (per-worker
-        generation / RSS / jobs served, recycle counts by reason) rides
-        along under ``"lifecycle"`` so an operator — or a probe — can
-        see recycling happen without scraping ``/metrics``.
+        false once draining.  ``counters`` are the whole-run admitted /
+        served / shed counts every operator view reads (valid with
+        observability off).  ``breakers`` is empty here: the front-end's
+        :meth:`~repro.svc.serve.FrontEndBase.health_doc` fills it, and
+        ``lifecycle``, from the service it owns.
         """
         with self._lock:
-            shed_total = sum(self.shed.values())
-            doc: dict[str, Any] = {
+            return {
                 "status": "draining" if self.draining else "ok",
                 "ready": not self.draining,
                 "uptime": round(self.clock() - self.started, 3),
@@ -447,19 +440,7 @@ class AdmissionGate:
                     "admitted": self.admitted,
                     "served": self.served,
                     "shed": dict(self.shed),
-                    "shed_total": shed_total,
+                    "shed_total": sum(self.shed.values()),
                 },
+                "breakers": {},
             }
-        states: dict[str, str] = {}
-        if breakers is not None:
-            for kind, breaker in getattr(breakers, "breakers", {}).items():
-                states[kind] = breaker.state
-        doc["breakers"] = states
-        if pool is not None:
-            snapshot = getattr(pool, "lifecycle_snapshot", None)
-            if callable(snapshot):
-                try:
-                    doc["lifecycle"] = snapshot()
-                except Exception:
-                    pass  # health must answer even mid-recycle
-        return doc

@@ -29,11 +29,11 @@ graceful drain are shared code, not a re-implementation:
   server-minted), exactly like the JSONL wire.
 
 * ``GET /metrics`` — Prometheus text exposition
-  (:func:`repro.obs.live.render_prometheus`): gate ledger counters,
-  rolling-window gauges and latency quantiles, breaker states, worker
-  lifecycle gauges (``svc_worker_rss_bytes`` / ``svc_worker_generation``
-  per worker, ``svc_recycles_total`` by reason), and the obs registry
-  when recording is on.
+  (:func:`repro.obs.live.render_prometheus` of the ``health``
+  snapshot): gate ledger counters, breaker states, worker lifecycle
+  gauges (``svc_worker_rss_bytes`` / ``svc_worker_generation`` per
+  worker, ``svc_recycles_total`` by reason), rolling-window gauges and
+  latency quantiles, and the obs registry when recording is on.
 
 * ``GET /healthz`` — the ``health`` ledger as JSON (including the
   worker ``lifecycle`` snapshot); status 200 while ready, 503 once

@@ -296,18 +296,6 @@ def parse_line(
     return Request(client_id, spec=spec, tenant=tenant, trace_id=trace_id)
 
 
-def stats_response(
-    request: Request, tracker: ServeStats, served: int
-) -> dict[str, Any]:
-    """The payload of a ``stats`` request: the live window snapshot."""
-    return {
-        "id": request.client_id,
-        "trace_id": request.trace_id,
-        "served_total": served,
-        "stats": tracker.live.snapshot(),
-    }
-
-
 def _emit(out: IO[str], doc: dict[str, Any]) -> bool:
     """Write one response line; False when the client is gone (EPIPE)."""
     try:
@@ -383,7 +371,6 @@ class FrontEndBase:
         self.stats_interval = stats_interval
         self.err = err if err is not None else sys.stderr
         self.tracker = ServeStats(clock=clock)
-        self.served = 0
         self._queue: "queue.Queue[Ticket]" = queue.Queue()
         self._draining = threading.Event()
         self._done = threading.Event()
@@ -437,33 +424,33 @@ class FrontEndBase:
     # -- operator views ----------------------------------------------------
 
     def health_doc(self) -> dict[str, Any]:
-        """The ``health`` ledger (gate + breakers + worker lifecycle)."""
+        """The one operator snapshot: the gate's ledger, breaker states
+        and worker lifecycle.
+
+        The ``health`` reply is this document; ``/metrics``
+        (:meth:`metrics_text`) and the ``--stats`` line and summary
+        render it, so every view reads the same counts.
+        """
+        doc = self.gate.health(workers=self.config.jobs)
         svc = self._svc
-        return self.gate.health(
-            svc.breakers if svc is not None else None,
-            workers=self.config.jobs,
-            pool=svc.pool if svc is not None else None,
-        )
+        if svc is not None:
+            doc["breakers"] = svc.breakers.states()
+            try:
+                doc["lifecycle"] = svc.pool.lifecycle_snapshot()
+            except Exception:
+                pass  # health must answer even mid-recycle
+        return doc
 
     def metrics_text(self) -> str:
-        """The Prometheus text exposition of this front-end's state.
-
-        The ``svc_gate_*`` families come from the gate's own ledger
-        (valid with observability off, and exactly consistent with the
-        wire-level served/shed partition); the window gauges from the
-        live tracker; registry metrics ride along when obs recording is
-        on.
-        """
+        """The Prometheus text exposition of :meth:`health_doc`, the
+        live windows, and (when obs recording is on) the registry."""
         from ..obs import config as obs_config
         from ..obs.live import render_prometheus
 
-        svc = self._svc
         return render_prometheus(
-            gate=self.gate,
-            breakers=svc.breakers if svc is not None else None,
+            self.health_doc(),
             live=self.tracker.live,
             registry=obs_metrics.REGISTRY if obs_config.ENABLED else None,
-            pool=svc.pool if svc is not None else None,
         )
 
     # -- request handling (caller threads) ---------------------------------
@@ -493,7 +480,12 @@ class FrontEndBase:
             reply(health)
             return
         if request.stats:
-            reply(stats_response(request, self.tracker, self.served))
+            reply({
+                "id": request.client_id,
+                "trace_id": request.trace_id,
+                "served_total": self.gate.served,
+                "stats": self.tracker.live.snapshot(),
+            })
             return
         with obs_tracer.trace_context(request.trace_id):
             with obs_tracer.span(
@@ -504,11 +496,26 @@ class FrontEndBase:
             ):
                 decision = self.gate.admit(request.spec, request.tenant)
         if isinstance(decision, Shed):
-            self.tracker.record_shed(decision.reason, request.tenant)
-            reply(decision.response(request.client_id))
+            self._refuse(decision, request.client_id, request.tenant, reply)
             return
         decision.reply = reply
         self._queue.put(decision)
+
+    def _refuse(
+        self,
+        shed: Shed,
+        client_id: str,
+        tenant: str,
+        reply: Optional[Callable[[dict[str, Any]], None]],
+    ) -> None:
+        """Answer one request the gate shed (and already counted).
+
+        The one shed path for admission, release and drain: the live
+        windows record it, then the client gets its shed line.
+        """
+        self.tracker.record_shed(shed.reason, tenant)
+        if reply is not None:
+            reply(shed.response(client_id))
 
     def request(self, line: str, default_id: str) -> Optional[dict[str, Any]]:
         """:meth:`handle_line`, then wait for its one reply.
@@ -580,9 +587,12 @@ class FrontEndBase:
                     ticket = self._queue.get_nowait()
                 except queue.Empty:
                     break
-                shed = self.gate.drain_shed(ticket)
-                if ticket.reply is not None:
-                    ticket.reply(shed.response(ticket.client_id))
+                self._refuse(
+                    self.gate.drain_shed(ticket),
+                    ticket.client_id,
+                    ticket.tenant,
+                    ticket.reply,
+                )
             self._done.set()
 
     def _dispatch_batch(
@@ -600,9 +610,9 @@ class FrontEndBase:
                 ):
                     released = self.gate.release(ticket)
             if isinstance(released, Shed):
-                self.tracker.record_shed(released.reason, ticket.tenant)
-                if ticket.reply is not None:
-                    ticket.reply(released.response(ticket.client_id))
+                self._refuse(
+                    released, ticket.client_id, ticket.tenant, ticket.reply
+                )
                 continue
             internal = self._next_internal_id()
             specs.append(dataclasses.replace(released, job_id=internal))
@@ -626,7 +636,6 @@ class FrontEndBase:
             self.gate.note_served(
                 result.duration or (self.clock() - started)
             )
-            self.served += 1
             self.tracker.record(result, ticket.tenant)
             if ticket.reply is not None:
                 ticket.reply(doc)
@@ -635,7 +644,7 @@ class FrontEndBase:
         if self.tracker.due(self.stats_interval):
             # One write call: stats output must never interleave with
             # journal spill writes or other stderr traffic mid-line.
-            self.err.write(self.tracker.line(svc.breakers) + "\n")
+            self.err.write(self.tracker.line(self.health_doc()) + "\n")
             self.err.flush()
 
 
@@ -684,13 +693,13 @@ class StdinFrontEnd(FrontEndBase):
             if not line:
                 continue
             default_id = f"line-{index + 1}"
-            served_before = self.served
+            served_before = self.gate.served
             doc = self.request(line, default_id)
             if doc is None:
                 doc = {"id": default_id, "error": NO_REPLY}
             if not _emit(self.out, doc):
                 break
-            self.written += self.served - served_before
+            self.written += self.gate.served - served_before
         self.initiate_drain()
 
 
@@ -865,9 +874,6 @@ def serve_until_drained(
     finally:
         front.close()
     if stats:
-        svc = front._svc
-        front.err.write(
-            front.tracker.summary(svc.breakers if svc else None) + "\n"
-        )
+        front.err.write(front.tracker.summary(front.health_doc()) + "\n")
         front.err.flush()
-    return front.served
+    return front.gate.served

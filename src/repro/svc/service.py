@@ -2,8 +2,8 @@
 
 :class:`AnalysisService` is what callers use: configure once, submit
 jobs (single, batch, or an endless stream), get
-:class:`~repro.svc.job.JobResult`\\ s — or library-level
-:class:`~repro.guard.Verdict`\\ s — back.  The service owns the pieces
+:class:`~repro.svc.job.JobResult`\\ s back (``to_verdict`` gives the
+library-level :class:`~repro.guard.Verdict`).  The service owns the pieces
 with *state that must outlive a batch*:
 
 * the :class:`~repro.svc.pool.WorkerPool` (warm workers amortize spawn
@@ -24,7 +24,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..guard import Verdict
 from ..guard.chaos import WorkerChaosPolicy, worker_policy_from_spec
 from .breaker import BreakerConfig, BreakerRegistry
 from .job import JobResult, JobSpec
@@ -133,16 +132,3 @@ class AnalysisService:
 
     def run_job(self, spec: JobSpec) -> JobResult:
         return self.run_jobs([spec])[0]
-
-    def breaker_states(self) -> dict[str, str]:
-        """Per-kind circuit-breaker states (for health reporting)."""
-        return {k: b.state for k, b in self.breakers.breakers.items()}
-
-    def lifecycle_snapshot(self) -> dict:
-        """Per-worker generation/RSS/age state (for health reporting)."""
-        return self.pool.lifecycle_snapshot()
-
-    @staticmethod
-    def verdict_of(result: JobResult) -> Verdict:
-        """The result as a library :class:`~repro.guard.Verdict`."""
-        return result.to_verdict()

@@ -534,7 +534,9 @@ class ServeStats:
     :class:`~repro.obs.live.LiveStats` window aggregator backs the
     rolling ``line()`` updates — including one row per active tenant
     over the short window, so a multi-tenant overload is visible *as*
-    it happens, not in the post-run table.
+    it happens, not in the post-run table.  Whole-run served and shed
+    counts are not kept here: they are the admission gate's, and
+    ``line()``/``summary()`` read them from the snapshot they are given.
 
     ``line()`` returns a complete, newline-joined block: the front-end
     writes it with **one** ``write()`` call so stats output can never
@@ -549,20 +551,14 @@ class ServeStats:
         self.started = clock()
         self.window_started = self.started
         self.window_jobs = 0
-        self.total_jobs = 0
         self.latency = KindLatency()
-        self.shed: dict[str, int] = {}
-        self.shed_total = 0
         self.live = live if live is not None else LiveStats(clock=clock)
 
     def record_shed(self, reason: str, tenant: str = "default") -> None:
         """One request shed by the admission gate (never dispatched)."""
-        self.shed[reason] = self.shed.get(reason, 0) + 1
-        self.shed_total += 1
         self.live.record_shed(reason, tenant)
 
     def record(self, result: JobResult, tenant: str = "default") -> None:
-        self.total_jobs += 1
         self.window_jobs += 1
         self.latency.record(result)
         self.live.record_served(
@@ -605,43 +601,50 @@ class ServeStats:
             rows.append("[svc]   " + " ".join(parts))
         return rows
 
-    def line(self, breakers=None) -> str:
+    def line(self, snapshot: Optional[dict[str, Any]] = None) -> str:
         """One rolling stats block; resets the throughput window.
 
         The first line is the overall rate/kind summary; one indented
         row per active tenant follows (the per-tenant live window).
-        The caller must emit the whole block with a single write.
+        ``snapshot`` is the front-end's ``health`` document: the
+        whole-run shed count and breaker states come from it.  The
+        caller must emit the whole block with a single write.
         """
+        snapshot = snapshot or {}
         elapsed = max(self.clock() - self.window_started, 1e-9)
         parts = [f"{self.window_jobs / elapsed:.1f} jobs/s"]
-        if self.shed_total:
-            parts.append(f"shed={self.shed_total}")
+        shed_total = snapshot.get("counters", {}).get("shed_total")
+        if shed_total:
+            parts.append(f"shed={shed_total}")
         for kind, h in sorted(self.latency.hists.items()):
             parts.append(f"{kind} n={h.count} {format_quantiles(h)}")
-        parts.extend(format_breakers(_breaker_states(breakers)))
+        parts.extend(format_breakers(snapshot.get("breakers", {})))
         self.window_started = self.clock()
         self.window_jobs = 0
         return "\n".join(["[svc] " + " | ".join(parts)] + self._tenant_rows())
 
-    def summary(self, breakers=None) -> str:
-        """The ``fast top``-style closing table."""
+    def summary(self, snapshot: Optional[dict[str, Any]] = None) -> str:
+        """The ``fast top``-style closing table.
+
+        Under the per-kind latency table, the run's totals and breaker
+        states come from ``snapshot`` (the front-end's ``health``
+        document); without one only the table is rendered.
+        """
         lines = self.latency.table("== svc stats ==")
+        if snapshot is None:
+            return "\n".join(lines)
+        counters = snapshot["counters"]
+        served = counters["served"]
         elapsed = max(self.clock() - self.started, 1e-9)
         lines.append(
-            f"{self.total_jobs} jobs in {elapsed:.1f}s "
-            f"({self.total_jobs / elapsed:.1f} jobs/s)"
+            f"{served} jobs in {elapsed:.1f}s ({served / elapsed:.1f} jobs/s)"
         )
-        if self.shed_total:
+        if counters["shed_total"]:
             breakdown = " ".join(
                 f"{reason}={count}"
-                for reason, count in sorted(self.shed.items())
+                for reason, count in sorted(counters["shed"].items())
+                if count
             )
-            lines.append(f"shed: {self.shed_total} ({breakdown})")
-        lines.extend(format_breakers(_breaker_states(breakers)))
+            lines.append(f"shed: {counters['shed_total']} ({breakdown})")
+        lines.extend(format_breakers(snapshot["breakers"]))
         return "\n".join(lines)
-
-
-def _breaker_states(breakers) -> dict[str, str]:
-    if breakers is None:
-        return {}
-    return {kind: b.state for kind, b in breakers.breakers.items()}

@@ -165,9 +165,8 @@ def _gate_with_traffic() -> AdmissionGate:
 
 class TestRenderPrometheus:
     def test_gate_ledger_matches_health(self):
-        gate = _gate_with_traffic()
-        fams = parse_exposition(render_prometheus(gate=gate))
-        health = gate.health()
+        health = _gate_with_traffic().health()
+        fams = parse_exposition(render_prometheus(health))
         assert fams["svc_gate_ready"][()] == 1.0
         assert fams["svc_gate_admitted_total"][()] == float(
             health["counters"]["admitted"]
@@ -183,7 +182,7 @@ class TestRenderPrometheus:
     def test_breaker_states_are_one_hot(self):
         breakers = BreakerRegistry(BreakerConfig(failure_threshold=1))
         breakers.get("run").record_failure()
-        text = render_prometheus(breakers=breakers)
+        text = render_prometheus({"breakers": breakers.states()})
         fams = parse_exposition(text)
         states = {
             dict(key)["state"]: value
@@ -217,7 +216,7 @@ class TestRenderPrometheus:
         live = LiveStats(clock=FakeClock())
         live.record_served("run", "team-a", 0.01)
         live.record_served("emptiness", "team-b", 0.02)
-        text = render_prometheus(live=live, extra={"uptime": 3.0})
+        text = render_prometheus(_gate_with_traffic().health(), live=live)
         type_lines = [
             l for l in text.splitlines() if l.startswith("# TYPE ")
         ]
@@ -235,9 +234,7 @@ class TestParseExposition:
         gate = _gate_with_traffic()
         live = LiveStats(clock=FakeClock())
         live.record_served("run", "team-a", 0.01)
-        text = render_prometheus(
-            gate=gate, live=live, extra={"up": 1.0}
-        )
+        text = render_prometheus(gate.health(), live=live)
         fams = parse_exposition(text)
         assert fams  # every family parsed
         sample_lines = [

@@ -15,6 +15,7 @@ from repro.obs.live import parse_exposition
 from repro.svc import (
     GateConfig,
     HttpFrontEnd,
+    LifecyclePolicy,
     RequestLimits,
     RetryPolicy,
     ServiceConfig,
@@ -288,6 +289,67 @@ class TestOverloadCoherence:
             assert fams["svc_window_served"][
                 (("kind", "run"), ("window", "5m"))
             ] == float(served)
+        finally:
+            front.close()
+
+    def test_metrics_render_the_health_snapshot(self):
+        """Every ledger family of /metrics is the ``health`` snapshot
+        rendered: gate counters, breaker states, worker lifecycle."""
+        front = HttpFrontEnd(
+            config=ServiceConfig(
+                jobs=2,
+                retry=RetryPolicy(base_delay=0.01),
+                lifecycle=LifecyclePolicy(max_jobs=2),
+            ),
+            gate_config=GateConfig(
+                max_queue=1, max_deadline=30.0, drain_timeout=30.0,
+                workers=2,
+            ),
+        )
+        front.start()
+        try:
+            results = self._blast(front, n_threads=4, per_thread=4)
+            assert any(doc.get("shed") for _s, doc, _h in results)
+            assert any("outcome" in doc for _s, doc, _h in results)
+
+            health = front.health_doc()
+            fams = parse_exposition(front.metrics_text())
+
+            counters = health["counters"]
+            assert counters["served"] >= 1 and counters["shed_total"] >= 1
+            assert fams["svc_gate_ready"][()] == 1.0
+            assert fams["svc_gate_queue_depth"][()] == health["queue_depth"]
+            assert fams["svc_gate_inflight"][()] == health["inflight"]
+            assert fams["svc_gate_admitted_total"][()] == counters["admitted"]
+            assert fams["svc_gate_served_total"][()] == counters["served"]
+            assert fams["svc_gate_shed_total"] == {
+                (("reason", reason),): float(count)
+                for reason, count in counters["shed"].items()
+            }
+
+            assert health["breakers"] == {"run": "closed"}
+            assert fams["svc_breaker_state"] == {
+                (("kind", kind), ("state", state)): float(state == current)
+                for kind, current in health["breakers"].items()
+                for state in ("closed", "open", "half-open")
+            }
+
+            lifecycle = health["lifecycle"]
+            assert lifecycle["recycles_total"] >= 1
+            for family, key in (
+                ("svc_worker_generation", "generation"),
+                ("svc_worker_jobs_served", "jobs_served"),
+                ("svc_worker_rss_bytes", "rss_bytes"),
+            ):
+                assert fams[family] == {
+                    (("worker", str(row["worker"])),): float(row[key])
+                    for row in lifecycle["workers"]
+                    if row[key] is not None
+                }, family
+            assert fams["svc_recycles_total"] == {
+                (("reason", reason),): float(count)
+                for reason, count in lifecycle["recycles"].items()
+            }
         finally:
             front.close()
 

@@ -334,13 +334,24 @@ class TestInWorkerHygiene:
 
 class TestExposition:
     def test_snapshot_appears_in_health_and_metrics(self):
-        from repro.obs.live import parse_exposition, render_prometheus
-        from repro.svc.gate import AdmissionGate, GateConfig
+        import json
 
-        with WorkerPool(2, lifecycle=LifecyclePolicy(max_jobs=2)) as pool:
-            pool.run_jobs(specs(6), retry=FAST_RETRY)
-            health = AdmissionGate(GateConfig()).health(pool=pool)
-            families = parse_exposition(render_prometheus(pool=pool))
+        from repro.obs.live import parse_exposition
+        from repro.svc import ServiceConfig
+        from repro.svc.serve import FrontEndBase
+
+        front = FrontEndBase(
+            ServiceConfig(
+                jobs=2, retry=FAST_RETRY,
+                lifecycle=LifecyclePolicy(max_jobs=2),
+            )
+        )
+        with front:
+            for spec in specs(6):
+                line = json.dumps({"id": spec.job_id, "source": PASSING})
+                assert "outcome" in front.request(line, spec.job_id)
+            health = front.health_doc()
+            families = parse_exposition(front.metrics_text())
         lifecycle = health["lifecycle"]
         assert len(lifecycle["workers"]) == 2
         for row in lifecycle["workers"]:

@@ -265,6 +265,48 @@ class TestSocketFrontEnd:
                 conn.close()
             assert front.wait(20.0)
 
+    def test_drain_sheds_are_counted_in_every_view(self):
+        """Tickets still queued when the drain window closes are shed
+        with ``draining``; the wire, ``health``, the ``--stats`` summary
+        and the live windows all count the same sheds.  A zero drain
+        window lets at most the one ticket already taken by the
+        dispatcher run, however fast the jobs are."""
+        from repro.svc import GateConfig
+        from repro.svc.serve import FrontEndBase, serve_until_drained
+
+        err = io.StringIO()
+        front = FrontEndBase(
+            config=ServiceConfig(jobs=1),
+            gate_config=GateConfig(workers=1, drain_timeout=0.0),
+            err=err,
+        )
+        replies = []
+        lock = threading.Lock()
+
+        def reply(doc):
+            with lock:
+                replies.append(doc)
+
+        def ready(front):
+            for i in range(8):
+                line = json.dumps(
+                    {"id": f"r{i}", "kind": "run", "source": PASSING}
+                )
+                front.handle_line(line, f"r{i}", reply)
+            front.initiate_drain()
+
+        served = serve_until_drained(front, stats=True, ready=ready)
+        assert len(replies) == 8
+        shed = [d for d in replies if d.get("shed")]
+        n = len(shed)
+        assert n >= 7
+        assert all(d["reason"] == "draining" for d in shed)
+        assert served == 8 - n
+        assert front.health_doc()["counters"]["shed_total"] == n
+        assert f"shed: {n} (draining={n})" in err.getvalue()
+        window = front.tracker.live.window("1m")
+        assert window.totals().get("shed", 0) == n
+
     def test_file_requests_disabled_without_root(self, tmp_path):
         from repro.svc.serve import SocketFrontEnd
 

@@ -529,12 +529,21 @@ class TestServeStatsLine:
                 )
 
     def test_summary_keeps_shed_breakdown(self):
+        from repro.svc.gate import AdmissionGate, GateConfig
+
         clock = _Clock()
         stats = tel.ServeStats(clock=clock)
         stats.record(_result(), tenant="t")
-        stats.record_shed("quota", tenant="t")
-        stats.record_shed("queue-full", tenant="t")
-        summary = stats.summary()
+        # The shed counts come from the gate's ledger: one quota shed
+        # (tenant "t" is out of tokens), one queue-full (queue of 1).
+        gate = AdmissionGate(
+            GateConfig(max_queue=1, tenant_rate=0.001, tenant_burst=1),
+            clock=clock,
+        )
+        gate.admit(JobSpec("a", "run", PASSING), "t")
+        gate.admit(JobSpec("b", "run", PASSING), "t")
+        gate.admit(JobSpec("c", "run", PASSING), "u")
+        summary = stats.summary(gate.health())
         assert "shed: 2" in summary
         assert "quota=1" in summary
         assert "queue-full=1" in summary

@@ -76,9 +76,12 @@ class STA:
                     f"match rank {ctor.rank} of {r.ctor}"
                 )
         index: dict[tuple[State, str], list[STARule]] = {}
+        by_state: dict[State, list[STARule]] = {}
         for r in self.rules:
             index.setdefault((r.state, r.ctor), []).append(r)
+            by_state.setdefault(r.state, []).append(r)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_by_state", by_state)
 
     # -- queries --------------------------------------------------------------
 
@@ -95,7 +98,7 @@ class STA:
         """All rules with the given source state (optionally per symbol)."""
         if ctor is not None:
             return self._index.get((state, ctor), [])  # type: ignore[attr-defined]
-        return [r for r in self.rules if r.state == state]
+        return self._by_state.get(state, [])  # type: ignore[attr-defined]
 
     def size(self) -> tuple[int, int]:
         """(number of states, number of rules) — used in the evaluation."""

@@ -16,9 +16,13 @@ Layers:
   concurrent workers can share it without torn reads.  Disk failures
   (read or write) degrade to cache misses, never to errors.
 
-Integrity: each disk entry is an **envelope** — the artifact payload
-plus the SHA-256 of its canonical JSON — verified on every load.  A
-truncated file, a bit-flipped byte, or a stale schema all fail closed:
+Integrity: each disk entry is an **envelope** with a fixed byte
+layout, ``{"sha256":"<64 hex>","payload":<payload>}``, where
+``<payload>`` is the artifact's canonical JSON (sorted keys, no
+spaces), encoded once, and the checksum is the SHA-256 of exactly
+those stored bytes.  A load checks the layout and the checksum on the
+raw bytes before it parses anything.  A truncated file, a bit-flipped
+byte, an entry in an older layout, or a stale schema all fail closed:
 the entry is dropped, the program recompiles, and the incident is
 counted under ``exec.cache.disk_errors``.  Corruption can cost a
 recompile; it can never produce a wrong program.
@@ -30,8 +34,9 @@ when the program is already cached — otherwise caching would change
 verdicts, not just latency.
 
 Metrics: ``exec.cache.hit`` / ``exec.cache.miss`` / ``exec.cache.store``
-/ ``exec.cache.prewarm`` / ``exec.cache.disk_errors`` (glossary in
-DESIGN.md §8).
+/ ``exec.cache.prewarm`` / ``exec.cache.disk_errors``; spans
+``exec.cache.store`` / ``exec.cache.load`` around the disk write and
+read (glossary in DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from typing import Optional
 from .. import __version__
 from ..guard.budget import tick as _tick
 from ..obs import metrics as obs_metrics
+from ..obs import tracer as obs_tracer
 from ..smt.solver import Solver
 from . import config
 from .artifact import (
@@ -66,11 +72,39 @@ _OBS_DISK_ERRORS = obs_metrics.counter("exec.cache.disk_errors")
 #: Key prefix: same source + different library/schema = different key.
 _SALT = f"{__version__}:{ARTIFACT_SCHEMA}"
 
+#: The envelope's fixed byte layout: ``_HEAD <64 hex digits> _MID
+#: <payload> _TAIL`` — one JSON object with the keys ``sha256`` and
+#: ``payload``, so ``json.load(f)["payload"]`` reads an entry as well.
+_HEAD = b'{"sha256":"'
+_MID = b'","payload":'
+_TAIL = b"}"
+_DIGEST_END = len(_HEAD) + 64
+_PAYLOAD_START = _DIGEST_END + len(_MID)
 
-def _payload_digest(payload: object) -> str:
-    """SHA-256 of a payload's canonical JSON (the envelope checksum)."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+def _envelope(payload: bytes) -> bytes:
+    """The disk entry for canonical payload bytes."""
+    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+    return b"".join((_HEAD, digest, _MID, payload, _TAIL))
+
+
+def _verified_payload(blob: bytes) -> bytes:
+    """The payload bytes of a disk entry whose layout and checksum hold.
+
+    Raises ValueError for anything else; nothing is parsed before the
+    checksum over the raw payload bytes has matched.
+    """
+    if (
+        not blob.startswith(_HEAD)
+        or blob[_DIGEST_END:_PAYLOAD_START] != _MID
+        or not blob.endswith(_TAIL)
+    ):
+        raise ValueError("not an artifact envelope")
+    payload = blob[_PAYLOAD_START : -len(_TAIL)]
+    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+    if blob[len(_HEAD) : _DIGEST_END] != digest:
+        raise ValueError("artifact checksum mismatch")
+    return payload
 
 
 def cache_key(source: str) -> str:
@@ -139,12 +173,12 @@ class ArtifactCache:
     def _load_disk(self, key: str) -> Optional[CompiledArtifact]:
         path = self._path(key)
         try:
-            with open(path, encoding="utf-8") as f:
-                envelope = json.load(f)
-            payload = envelope["payload"]
-            if envelope.get("sha256") != _payload_digest(payload):
-                raise ValueError(f"artifact checksum mismatch: {path}")
-            return artifact_from_json(payload)
+            # The span opens only once the entry exists: a plain miss
+            # is one failed open, not a load.
+            with open(path, "rb") as f, obs_tracer.span("exec.cache.load") as sp:
+                blob = f.read()
+                sp.set(bytes=len(blob))
+                return artifact_from_json(json.loads(_verified_payload(blob)))
         except FileNotFoundError:
             return None
         except Exception:
@@ -160,23 +194,29 @@ class ArtifactCache:
     def _store_disk(self, key: str, artifact: CompiledArtifact) -> None:
         directory = self._dir()
         try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                payload = artifact_to_json(artifact)
-                envelope = {
-                    "sha256": _payload_digest(payload),
-                    "payload": payload,
-                }
-                with os.fdopen(fd, "w", encoding="utf-8") as f:
-                    json.dump(envelope, f)
-                os.replace(tmp, self._path(key))
-            except BaseException:
+            with obs_tracer.span("exec.cache.store") as sp:
+                # One canonical encode, in one shot (``json.dumps`` runs
+                # the C encoder; streaming ``json.dump`` does not), one
+                # checksum over those bytes, one write.
+                payload = json.dumps(
+                    artifact_to_json(artifact),
+                    sort_keys=True,
+                    separators=(",", ":"),
+                ).encode("ascii")
+                blob = _envelope(payload)
+                sp.set(bytes=len(blob))
+                os.makedirs(directory, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
                 try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+                    with os.fdopen(fd, "wb") as f:
+                        f.write(blob)
+                    os.replace(tmp, self._path(key))
+                except BaseException:
+                    try:
+                        os.unlink(tmp)
+                    except OSError:
+                        pass
+                    raise
         except Exception:
             return  # read-only/full disk degrades to a memory-only cache
         _OBS_STORES.inc()

@@ -23,6 +23,10 @@ Structure, mirroring the paper:
   ``M = d(T)``: the composed transducer's lookahead automaton consists of
   ``S``'s own lookahead plus pre-image states ``("pre", p', R)`` with
   ``R`` a set of ``d(T)`` states.
+
+State names stay flat along composition chains (pair states splice
+their left component in, embedded lookahead states count their depth),
+so an ``n``-fold chain's names do not nest ``n`` deep.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from ..smt.solver import Solver
 from ..smt.terms import Term
 from .domain import domain_sta
 from .output_terms import OutApply, OutNode, OutputTerm, TApp, states_at
-from .preimage import LookTuple, PreimageBuilder
+from .preimage import LookTuple, PreimageBuilder, embed_lookahead
 from .sttr import STTR, STTRRule, State, TransducerError
 
 #: Cap on per-rule provenance notes recorded by one compose() call.
@@ -77,7 +81,7 @@ def compose(
                 name or f"({first.name} ; {second.name})",
                 first.input_type,
                 second.output_type,
-                ("pair", first.initial, second.initial),
+                composer.initial,
                 tuple(composer.rules),
                 lookahead_sta,
             )
@@ -162,38 +166,53 @@ class _Composer:
         self.rules: list[STTRRule] = []
         self.states_explored = 0
         self._t_in_fields = [f.name for f in second.input_type.fields]
+        #: Pair state name -> the ``(p, q)`` it names.
+        self._parts: dict[State, tuple[State, State]] = {}
+        self.initial = self._pair(first.initial, second.initial)
+
+    def _pair(self, p: State, q: State) -> State:
+        """The name of the pair state ``p.q``: ``("pair", p, q)``, with a
+        pair-state ``p`` spliced in (``("pair", a, b) . c = ("pair", a,
+        b, c)``).  Nested names made hashing and comparison recurse once
+        per fold and overflowed the stack near 1,000 folds.
+        """
+        if isinstance(p, tuple) and p and p[0] == "pair":
+            name = ("pair", *p[1:], q)
+        else:
+            name = ("pair", p, q)
+        if self._parts.setdefault(name, (p, q)) != (p, q):
+            raise TransducerError(f"ambiguous composed state name {name!r}")
+        return name
 
     def run(self) -> None:
-        done: set[tuple[State, State]] = set()
-        work: list[tuple[State, State]] = [(self.S.initial, self.T.initial)]
+        done: set[State] = set()
+        work: list[State] = [self.initial]
         while work:
-            p, q = work.pop()
-            if (p, q) in done:
+            pq = work.pop()
+            if pq in done:
                 continue
             _tick(kind="compose.pair")
-            done.add((p, q))
+            done.add(pq)
             self.states_explored = len(done)
-            for new_rule in self._compose_state(p, q):
+            for new_rule in self._compose_state(pq):
                 self.rules.append(new_rule)
                 for term in new_rule.output.iter_terms():
-                    if isinstance(term, OutApply):
-                        tag, p2, q2 = term.state
-                        assert tag == "pair"
-                        if (p2, q2) not in done:
-                            work.append((p2, q2))
+                    if isinstance(term, OutApply) and term.state not in done:
+                        work.append(term.state)
 
-    def _compose_state(self, p: State, q: State) -> Iterator[STTRRule]:
+    def _compose_state(self, pq: State) -> Iterator[STTRRule]:
         """The paper's ``Compose(p, q, f)`` over all symbols ``f``."""
+        p, q = self._parts[pq]
         for s_rule in self.S.rules_from(p):
             rank = len(s_rule.lookahead)
             empty: LookTuple = tuple(frozenset() for _ in range(rank))
             start = TApp(q, s_rule.output)
             for guard, extra, out in self._reduce(s_rule.guard, empty, start):
                 lookahead = tuple(
-                    frozenset(("la", s) for s in l) | e
+                    frozenset(map(embed_lookahead, l)) | e
                     for l, e in zip(s_rule.lookahead, extra)
                 )
-                yield STTRRule(("pair", p, q), s_rule.ctor, guard, lookahead, out)
+                yield STTRRule(pq, s_rule.ctor, guard, lookahead, out)
 
     # -- Reduce -----------------------------------------------------------------
 
@@ -205,7 +224,7 @@ class _Composer:
             arg = term.arg
             if isinstance(arg, OutApply):
                 # Reduce line 1: q~(p~(yi)) -> (p.q)~(yi).
-                yield guard, lookahead, OutApply(("pair", arg.state, q), arg.index)
+                yield guard, lookahead, OutApply(self._pair(arg.state, q), arg.index)
                 return
             if isinstance(arg, OutNode):
                 yield from self._reduce_node(guard, lookahead, q, arg)

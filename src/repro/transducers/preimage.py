@@ -55,13 +55,26 @@ _OBS_RULES = obs_metrics.counter("preimage.rules_built")
 LookTuple = tuple[frozenset, ...]
 
 
+def embed_lookahead(s: State) -> State:
+    """The name of ``S``'s lookahead state ``s`` in a built automaton.
+
+    ``("la", 1, s)``, except that an embedded state ``("la", k, x)`` is
+    embedded again as ``("la", k + 1, x)``: a composition chain re-embeds
+    its lookahead once per fold, and the names stay flat instead of
+    nesting once per fold.
+    """
+    if isinstance(s, tuple) and len(s) == 3 and s[0] == "la" and isinstance(s[1], int):
+        return ("la", s[1] + 1, s[2])
+    return ("la", 1, s)
+
+
 class PreimageBuilder:
     """Lazily builds the pre-image automaton of ``S`` against target ``M``.
 
-    The result automaton's states are ``("la", s)`` for states of ``S``'s
-    own lookahead STA (embedded unchanged) and ``("pre", p, R)`` for
-    pre-image states; rules are created on demand by :meth:`state` /
-    :meth:`ensure`.
+    The result automaton's states are :func:`embed_lookahead` names for
+    states of ``S``'s own lookahead STA (whose rules are embedded
+    unchanged) and ``("pre", p, R)`` for pre-image states; rules are
+    created on demand by :meth:`state` / :meth:`ensure`.
     """
 
     def __init__(self, sttr: STTR, target: STA, solver: Solver) -> None:
@@ -75,10 +88,10 @@ class PreimageBuilder:
         self.solver = solver
         self._rules: list[STARule] = [
             STARule(
-                ("la", r.state),
+                embed_lookahead(r.state),
                 r.ctor,
                 r.guard,
-                tuple(frozenset(("la", s) for s in l) for l in r.lookahead),
+                tuple(frozenset(map(embed_lookahead, l)) for l in r.lookahead),
             )
             for r in sttr.lookahead_sta.rules
         ]
@@ -110,7 +123,7 @@ class PreimageBuilder:
                 empty: LookTuple = tuple(frozenset() for _ in range(rank))
                 for guard, extra in self.look(rule.guard, empty, targets, rule.output):
                     lookahead = tuple(
-                        frozenset(("la", s) for s in l) | e
+                        frozenset(map(embed_lookahead, l)) | e
                         for l, e in zip(rule.lookahead, extra)
                     )
                     self._rules.append(STARule(source, rule.ctor, guard, lookahead))

@@ -112,9 +112,12 @@ class STTR:
         for r in self.rules:
             self._check_rule(r)
         index: dict[tuple[State, str], list[STTRRule]] = {}
+        by_state: dict[State, list[STTRRule]] = {}
         for r in self.rules:
             index.setdefault((r.state, r.ctor), []).append(r)
+            by_state.setdefault(r.state, []).append(r)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_by_state", by_state)
 
     def _check_rule(self, r: STTRRule) -> None:
         ctor = self.input_type.constructor(r.ctor)
@@ -188,7 +191,7 @@ class STTR:
     def rules_from(self, state: State, ctor: str | None = None) -> list[STTRRule]:
         if ctor is not None:
             return self._index.get((state, ctor), [])  # type: ignore[attr-defined]
-        return [r for r in self.rules if r.state == state]
+        return self._by_state.get(state, [])  # type: ignore[attr-defined]
 
     def size(self) -> tuple[int, int]:
         """(states, rules) — the measure used in the paper's Section 5.2."""

@@ -146,6 +146,14 @@ class TestDeforestation:
         s2 = composed_n(10, solver).size()
         assert s1 == s2
 
+    def test_long_chain_composes(self, solver):
+        # Pair state names nested once per fold used to overflow the
+        # stack in hashing and comparison near 1,000 folds.
+        values = [0, 7, 25, 13, 999]
+        comp = composed_n(1200, solver)
+        out = comp.apply_one(encode_list(values, ILIST))
+        assert decode_list(out) == reference_caesar(values, 1200)
+
     def test_label_expression_simplifies(self, solver):
         comp = composed_n(12, solver)
         rule = comp.sttr.rules_from(comp.sttr.initial, "cons")[0]

@@ -57,6 +57,13 @@ class TestStructure:
         assert len(EX2.rules_from("p", "L")) == 1
         assert EX2.rules_from("p", "missing") == []
 
+    def test_rules_from_state_keeps_rule_order(self):
+        interleaved = STA(BT, (EX2_RULES[0], EX2_RULES[2], EX2_RULES[1], EX2_RULES[3]))
+        for state in ("p", "o"):
+            expected = [r for r in interleaved.rules if r.state == state]
+            assert interleaved.rules_from(state) == expected
+        assert interleaved.rules_from("missing") == []
+
     def test_rank_mismatch_rejected(self):
         with pytest.raises(AutomatonError):
             STA(BT, (rule("x", "N", None, [["x"]]),))

@@ -6,6 +6,8 @@ process-wide memory layer around every test, so counter assertions here
 are deltas, never absolutes.
 """
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -15,7 +17,9 @@ from repro.exec.artifact import CompiledArtifact, build_artifact
 from repro.exec.cache import DEFAULT_CACHE, ArtifactCache, cache_key, cached_artifact
 from repro.fast.cli import EXIT_BUDGET, EXIT_OK, main
 from repro.fast.evaluator import run_artifact
+from repro import obs
 from repro.obs import metrics as obs_metrics
+from repro.obs import tracer
 from repro.smt import Solver
 
 EASY = """\
@@ -189,6 +193,87 @@ class TestIntegrity:
         cached_artifact(EASY)  # no disk entry yet: plain miss
         assert delta(before, "exec.cache.miss") == 1
         assert delta(before, "exec.cache.disk_errors") == 0
+
+    def test_entry_is_one_json_object_with_sha256_and_payload(self):
+        cached_artifact(EASY)
+        with open(self._entry_path(), encoding="utf-8") as f:
+            envelope = json.load(f)
+        assert set(envelope) == {"sha256", "payload"}
+        assert isinstance(envelope["payload"], dict)
+
+    def test_checksum_covers_the_stored_payload_bytes(self):
+        cached_artifact(EASY)
+        with open(self._entry_path(), "rb") as f:
+            blob = f.read()
+        digest = json.loads(blob)["sha256"]
+        head = b'{"sha256":"' + digest.encode("ascii") + b'","payload":'
+        assert blob.startswith(head) and blob.endswith(b"}")
+        payload = blob[len(head) : -1]
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+    def test_flipped_checksum_digit_is_counted_miss(self):
+        def flip_digit(blob):
+            i = blob.index(b'"sha256":"') + len(b'"sha256":"') + 7
+            digit = b"0" if blob[i : i + 1] != b"0" else b"1"
+            return blob[:i] + digit + blob[i + 1 :]
+
+        self._vandalize(flip_digit)
+        before = counts()
+        assert run_artifact(cached_artifact(EASY)).ok
+        assert delta(before, "exec.cache.hit") == 0
+        assert delta(before, "exec.cache.disk_errors") == 1
+        assert delta(before, "exec.artifact.builds") == 1
+
+    def test_older_envelope_layout_is_recompiled_once(self):
+        # The earlier writer streamed ``json.dump(envelope, f)`` with
+        # default separators.  Such an entry costs one counted
+        # recompile, is rewritten in the current layout, and the
+        # program's verdict does not change.
+        verdict = run_artifact(cached_artifact(EASY)).ok
+        path = self._entry_path()
+        with open(path, encoding="utf-8") as f:
+            payload = json.load(f)["payload"]
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        envelope = {
+            "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+            "payload": payload,
+        }
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(envelope, f)
+        DEFAULT_CACHE.clear()
+        before = counts()
+        assert run_artifact(cached_artifact(EASY)).ok == verdict
+        assert delta(before, "exec.cache.disk_errors") == 1
+        assert delta(before, "exec.artifact.builds") == 1
+        assert delta(before, "exec.cache.store") == 1
+        DEFAULT_CACHE.clear()
+        assert run_artifact(cached_artifact(EASY)).ok == verdict
+        assert delta(before, "exec.cache.hit") == 1
+        assert delta(before, "exec.cache.disk_errors") == 1
+
+
+class TestDiskSpans:
+    def test_store_and_load_are_traced(self):
+        def walk(spans):
+            for sp in spans:
+                yield sp
+                yield from walk(sp.children)
+
+        with obs.observed():
+            tracer.reset_trace()
+            try:
+                cached_artifact(EASY)  # miss (no entry yet, no load) + store
+                DEFAULT_CACHE.clear()
+                cached_artifact(EASY)  # disk hit: one load
+                spans = list(walk(tracer.trace()))
+            finally:
+                tracer.reset_trace()
+        stores = [sp for sp in spans if sp.name == "exec.cache.store"]
+        loads = [sp for sp in spans if sp.name == "exec.cache.load"]
+        assert len(stores) == 1 and len(loads) == 1
+        size = os.path.getsize(os.path.join(cache_dir(), f"{cache_key(EASY)}.json"))
+        assert stores[0].attrs["bytes"] == loads[0].attrs["bytes"] == size
+        assert "error" not in loads[0].attrs
 
 
 class TestBypasses:

@@ -39,6 +39,7 @@ from repro.transducers import (
     OutNode,
     STTR,
     Transducer,
+    TransducerError,
     compose,
     composition_is_exact,
     run,
@@ -361,3 +362,69 @@ def test_composition_associative_semantically(t, i, j, k):
     left = compose(compose(a, b, solver), c, solver)
     right = compose(a, compose(b, c, solver), solver)
     assert set(run(left, t)) == set(run(right, t))
+
+
+def _nesting(name):
+    """How deep tuples and sets nest inside a state name."""
+    if isinstance(name, (tuple, frozenset)):
+        return 1 + max((_nesting(c) for c in name), default=0)
+    return 0
+
+
+class TestChainStateNames:
+    """State names stay flat along a composition chain.
+
+    Nested names made hashing and comparison recurse once per fold, so
+    a chain of ~1,000 folds died with RecursionError.
+    """
+
+    def keep_if_left_positive(self):
+        pos = STA(
+            BT,
+            (
+                rule("pos", "L", mk_gt(x, mk_int(0))),
+                rule("pos", "N", mk_gt(x, mk_int(0)), [["pos"], ["pos"]]),
+            ),
+        )
+        return transducer(
+            "keep",
+            (
+                trule("q", "L", OutNode("L", (x,), ()), rank=0),
+                trule(
+                    "q",
+                    "N",
+                    OutNode("N", (x,), (OutApply("q", 0), OutApply("q", 1))),
+                    lookahead=[["pos"], []],
+                ),
+            ),
+            "q",
+            la=pos,
+        )
+
+    def test_chain_with_lookahead_keeps_flat_names(self, solver):
+        keep = self.keep_if_left_positive()
+        chain = keep
+        for _ in range(24):
+            chain = compose(chain, keep, solver)
+        names = set(chain.states) | set(chain.lookahead_sta.states)
+        assert chain.lookahead_sta.rules  # the lookahead survived the folds
+        assert max(map(_nesting, names)) <= 4
+        good = node("N", 1, node("L", 2), node("L", -3))
+        bad = node("N", 1, node("L", -2), node("L", 3))
+        assert run(chain, good) == run(keep, good) == [good]
+        assert run(chain, bad) == run(keep, bad) == []
+
+    def test_ambiguous_pair_name_is_rejected(self, solver):
+        # p = "a" and p = ("pair", "a") would both name ("pair", "a", "b").
+        s = transducer(
+            "s",
+            (
+                trule("a", "N", OutNode("N", (x,), (OutApply("a", 0), OutApply(("pair", "a"), 1))), rank=2),
+                trule("a", "L", OutNode("L", (x,), ()), rank=0),
+                trule(("pair", "a"), "L", OutNode("L", (x,), ()), rank=0),
+            ),
+            "a",
+        )
+        ident = transducer("id", bt_rules("b"), "b")
+        with pytest.raises(TransducerError, match="ambiguous"):
+            compose(s, ident, solver)

@@ -122,6 +122,16 @@ class TestValidation:
         assert ident.is_linear()
 
 
+class TestRulesFrom:
+    def test_state_index_keeps_rule_order(self):
+        a, b = bt_ident("a"), bt_ident("b")
+        interleaved = (a[0], b[0], a[1], b[1])
+        s = STTR("s", BT, BT, "a", interleaved)
+        assert s.rules_from("a") == [a[0], a[1]]
+        assert s.rules_from("b") == [b[0], b[1]]
+        assert s.rules_from("missing") == []
+
+
 class TestRun:
     def test_identity(self):
         ident = STTR("id", BT, BT, "c", tuple(bt_ident()))
